@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -59,6 +60,141 @@ struct ModelStream {
 [[nodiscard]] bool reg_present(const SimRegFile& regs,
                                std::string_view name) noexcept {
   return regs.map().find(name) != nullptr;
+}
+
+/// Copies `width` bits from tuple-relative bit `src` of one tuple
+/// representation to tuple-relative bit `dst` of another.
+struct BitMove {
+  std::uint64_t src = 0;
+  std::uint64_t dst = 0;
+  std::uint64_t width = 0;
+};
+
+/// Checks one map's moves and sorts them by destination. Returns false
+/// where BitVector::slice/deposit would raise (a move leaving its source
+/// or destination tuple) and where two moves overlap in the destination,
+/// so that their order would matter: both are left to the exact path.
+[[nodiscard]] bool normalize_moves(std::vector<BitMove>& moves,
+                                   std::uint64_t src_bits,
+                                   std::uint64_t dst_bits) {
+  for (const BitMove& m : moves) {
+    if (m.src + m.width > src_bits || m.dst + m.width > dst_bits) return false;
+  }
+  std::erase_if(moves, [](const BitMove& m) { return m.width == 0; });
+  std::sort(moves.begin(), moves.end(),
+            [](const BitMove& a, const BitMove& b) { return a.dst < b.dst; });
+  for (std::size_t i = 1; i < moves.size(); ++i) {
+    if (moves[i - 1].dst + moves[i - 1].width > moves[i].dst) return false;
+  }
+  return true;
+}
+
+/// `outer` after `inner`, both normalized: each outer move is split over
+/// the inner moves that wrote its source range. Source bits no inner move
+/// wrote are zero, which the zeroed destination already holds, so they
+/// produce no move. The result stays sorted and non-overlapping.
+[[nodiscard]] std::vector<BitMove> compose_moves(
+    const std::vector<BitMove>& outer, const std::vector<BitMove>& inner) {
+  std::vector<BitMove> result;
+  for (const BitMove& o : outer) {
+    const std::uint64_t lo = o.src;
+    const std::uint64_t hi = o.src + o.width;
+    auto it = std::partition_point(
+        inner.begin(), inner.end(),
+        [lo](const BitMove& i) { return i.dst + i.width <= lo; });
+    for (; it != inner.end() && it->dst < hi; ++it) {
+      const std::uint64_t a = std::max(lo, it->dst);
+      const std::uint64_t b = std::min(hi, it->dst + it->width);
+      result.push_back({it->src + (a - it->dst), o.dst + (a - lo), b - a});
+    }
+  }
+  return result;
+}
+
+/// Composes the per-survivor chain input storage -> input padded
+/// (pad_tuple) -> transform wires -> output padded -> output storage
+/// (unpad_tuple) into one list of contiguous bit moves from input storage
+/// bits to output storage bits. `wires` is null for the identity
+/// transform. Returns false wherever that chain would raise.
+[[nodiscard]] bool plan_survivor_moves(const analysis::TupleLayout& lin,
+                                       const analysis::TupleLayout& lout,
+                                       const std::vector<BitMove>* wires,
+                                       std::uint64_t wires_out_bits,
+                                       std::vector<BitMove>& plan) {
+  std::vector<BitMove> pad;
+  for (const auto& f : lin.fields) {
+    pad.push_back({f.storage_offset_bits, f.padded_offset_bits,
+                   f.storage_width_bits});
+  }
+  if (!normalize_moves(pad, lin.storage_bits, lin.padded_bits)) return false;
+  std::uint64_t mid_bits = lin.padded_bits;
+  if (wires != nullptr) {
+    std::vector<BitMove> xf = *wires;
+    if (!normalize_moves(xf, lin.padded_bits, wires_out_bits)) return false;
+    pad = compose_moves(xf, pad);
+    mid_bits = wires_out_bits;
+  }
+  if (mid_bits != lout.padded_bits) return false;  // unpad width check.
+  std::vector<BitMove> unpad;
+  for (const auto& f : lout.fields) {
+    unpad.push_back({f.padded_offset_bits, f.storage_offset_bits,
+                     f.storage_width_bits});
+  }
+  if (!normalize_moves(unpad, lout.padded_bits, lout.storage_bits)) {
+    return false;
+  }
+  plan = compose_moves(unpad, pad);
+  // Coalesce moves that continue each other in both source and
+  // destination: an unreordered run of fields becomes a single move.
+  std::size_t n = 0;
+  for (const BitMove& m : plan) {
+    if (n > 0 && plan[n - 1].src + plan[n - 1].width == m.src &&
+        plan[n - 1].dst + plan[n - 1].width == m.dst) {
+      plan[n - 1].width += m.width;
+    } else {
+      plan[n++] = m;
+    }
+  }
+  plan.resize(n);
+  return true;
+}
+
+/// Reads `width` (<= 64) bits at bit offset `bit` of little-endian bytes;
+/// the caller keeps [bit, bit + width) inside `bytes`.
+[[nodiscard]] std::uint64_t read_bits(std::span<const std::uint8_t> bytes,
+                                      std::uint64_t bit,
+                                      std::uint32_t width) noexcept {
+  if (width == 0) return 0;
+  const std::size_t first = bit / 8;
+  const std::uint32_t shift = bit % 8;
+  const std::size_t last = (bit + width - 1) / 8;
+  std::uint64_t value = 0;
+  if (first + 8 <= bytes.size()) {
+    // A fixed 8-byte group compiles to one unaligned load on
+    // little-endian targets.
+    for (std::size_t i = 0; i < 8; ++i) {
+      value |= static_cast<std::uint64_t>(bytes[first + i]) << (8 * i);
+    }
+  } else {
+    for (std::size_t i = first; i <= last; ++i) {
+      value |= static_cast<std::uint64_t>(bytes[i]) << (8 * (i - first));
+    }
+  }
+  value >>= shift;
+  if (last == first + 8) {
+    value |= static_cast<std::uint64_t>(bytes[last]) << (64 - shift);
+  }
+  return width == 64 ? value : value & ((std::uint64_t{1} << width) - 1);
+}
+
+/// ORs `width` (<= 64) bits of `value`, already masked, into `words` at
+/// bit offset `bit`; the destination bits are zero.
+void or_bits(std::vector<std::uint64_t>& words, std::uint64_t bit,
+             std::uint32_t width, std::uint64_t value) noexcept {
+  const std::size_t word = bit / 64;
+  const std::uint32_t shift = bit % 64;
+  words[word] |= value << shift;
+  if (shift + width > 64) words[word + 1] |= value >> (64 - shift);
 }
 
 }  // namespace
@@ -215,18 +351,45 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
   // ======== Phase 2: data-plane precompute (still no mutation) =========
   //
   // Filter decisions and the output byte stream depend only on the
-  // payload, never on timing, so they are evaluated in one pass.
+  // payload, never on timing, so they are evaluated in one pass, reading
+  // fields straight from the DRAM bytes.
   const std::uint64_t payload_bits = std::uint64_t{in_size} * 8;
   const std::uint64_t n_tuples = payload_bits / storage_bits;
+  const bool agg_consumes =
+      pe.aggregate_ != nullptr && agg_op != hw::AggOp::kNone;
+  // The input buffer pads every tuple and survivors cross the transform
+  // and the output buffer; a layout or wiring on which that per-tuple
+  // code would raise is left to the exact path (conservatively, even
+  // when no tuple would reach the transform).
+  std::vector<BitMove> plan;
+  if (n_tuples > 0) {
+    std::vector<BitMove> wires;
+    const SimTransformUnit& xf = *pe.transform_;
+    if (!xf.identity_) {
+      for (const auto& wire : xf.wires_) {
+        wires.push_back({wire.src_offset, wire.dst_offset, wire.width});
+      }
+    }
+    if (!plan_survivor_moves(lin, lout, xf.identity_ ? nullptr : &wires,
+                             xf.out_bits_, plan)) {
+      return false;
+    }
+  }
+  // The aggregate fold reads its field straight from the payload too.
+  std::uint32_t agg_off = 0;
+  std::uint32_t agg_width = 0;
+  if (agg_consumes) {
+    agg_off = lin.fields[lin.relevant_indices()[agg_field]].storage_offset_bits;
+    agg_width = std::min<std::uint32_t>(
+        pe.aggregate_->fields_[agg_field].true_width, 64);
+    if (std::uint64_t{agg_off} + agg_width > storage_bits) return false;
+  }
   std::vector<std::vector<std::uint8_t>> stage_pass(num_stages);
   std::vector<std::uint32_t> survivors;
   std::vector<std::uint64_t> out_words;
   std::uint64_t out_bits_width = 0;
-  const bool agg_consumes =
-      pe.aggregate_ != nullptr && agg_op != hw::AggOp::kNone;
   try {
-    const support::BitVector payload =
-        support::BitVector::from_bytes(mem.read_bytes(src, in_size));
+    const std::span<const std::uint8_t> payload = mem.read_bytes(src, in_size);
     const std::vector<std::size_t> relevant = lin.relevant_indices();
     std::vector<std::uint32_t> cur(n_tuples);
     for (std::uint64_t t = 0; t < n_tuples; ++t) {
@@ -241,6 +404,7 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
       const std::uint32_t storage_off =
           lin.fields[relevant[cfg[s].field]].storage_offset_bits;
       const std::uint32_t width = std::min<std::uint32_t>(finfo.true_width, 64);
+      if (std::uint64_t{storage_off} + width > storage_bits) return false;
       const hw::CompareOperand rhs{cfg[s].cmp, finfo.interp, finfo.true_width};
       // Resolved non-null by the Phase-1 precheck; binding it here keeps
       // the encoding lookup out of the per-tuple loop.
@@ -250,8 +414,8 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
       std::vector<std::uint32_t> next;
       next.reserve(cur.size());
       for (const std::uint32_t id : cur) {
-        const std::uint64_t raw = payload.extract_u64(
-            std::uint64_t{id} * storage_bits + storage_off, width);
+        const std::uint64_t raw = read_bits(
+            payload, std::uint64_t{id} * storage_bits + storage_off, width);
         const hw::CompareOperand lhs{raw, finfo.interp, finfo.true_width};
         const bool ok = op.eval(lhs, rhs);
         pass.push_back(ok ? 1 : 0);
@@ -262,31 +426,24 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
     survivors = std::move(cur);
 
     if (!agg_consumes) {
-      support::BitVector out_bits;
+      // Each survivor's output tuple is the plan's bit moves applied to
+      // its storage bits; output tuples pack back to back, and bits no
+      // move writes stay zero, as in the freshly built BitVectors.
+      out_bits_width = std::uint64_t{survivors.size()} * out_storage_bits;
+      out_words.assign((out_bits_width + 63) / 64, 0);
+      std::uint64_t out_base = 0;
       for (const std::uint32_t id : survivors) {
-        const Tuple storage =
-            payload.slice(std::uint64_t{id} * storage_bits, storage_bits);
-        Tuple padded = pad_tuple(lin, storage);
-        if (!pe.transform_->identity_) {
-          Tuple mapped(pe.transform_->out_bits_);
-          for (const auto& wire : pe.transform_->wires_) {
-            mapped.deposit(wire.dst_offset,
-                           padded.slice(wire.src_offset, wire.width));
+        const std::uint64_t in_base = std::uint64_t{id} * storage_bits;
+        for (const BitMove& move : plan) {
+          for (std::uint64_t done = 0; done < move.width; done += 64) {
+            const auto chunk =
+                static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                    64, move.width - done));
+            or_bits(out_words, out_base + move.dst + done, chunk,
+                    read_bits(payload, in_base + move.src + done, chunk));
           }
-          padded = std::move(mapped);
         }
-        out_bits.append(unpad_tuple(lout, padded));
-      }
-      out_bits_width = out_bits.width();
-      const std::uint64_t full_words = out_bits_width / 64;
-      const std::uint64_t partial_bits = out_bits_width % 64;
-      out_words.reserve(full_words + (partial_bits != 0 ? 1 : 0));
-      for (std::uint64_t k = 0; k < full_words; ++k) {
-        out_words.push_back(out_bits.extract_u64(k * 64, 64));
-      }
-      if (partial_bits != 0) {
-        out_words.push_back(
-            out_bits.extract_u64(full_words * 64, partial_bits));
+        out_base += out_storage_bits;
       }
     }
   } catch (...) {
@@ -762,15 +919,11 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
     // start_run (via pe.cycle above) configured and reset the
     // accumulator; folding the survivors in arrival order reproduces the
     // identical result bits, including float rounding order.
-    const support::BitVector payload =
-        support::BitVector::from_bytes(mem.read_bytes(src, in_size));
+    const std::span<const std::uint8_t> payload = mem.read_bytes(src, in_size);
     const auto& finfo = pe.aggregate_->fields_[agg_field];
-    const std::uint32_t storage_off =
-        lin.fields[lin.relevant_indices()[agg_field]].storage_offset_bits;
-    const std::uint32_t width = std::min<std::uint32_t>(finfo.true_width, 64);
     for (const std::uint32_t id : survivors) {
-      const std::uint64_t raw = payload.extract_u64(
-          std::uint64_t{id} * storage_bits + storage_off, width);
+      const std::uint64_t raw = read_bits(
+          payload, std::uint64_t{id} * storage_bits + agg_off, agg_width);
       pe.aggregate_->fold(raw, finfo);
     }
     pe.aggregate_->folded_ = agg_folded;

@@ -305,6 +305,13 @@ void PETestBench::set_filter(std::uint32_t stage, std::uint32_t field_sel,
 ChunkStats PETestBench::run_chunk(std::uint64_t src_addr,
                                   std::uint64_t dst_addr,
                                   std::uint32_t payload_bytes) {
+  start_chunk(src_addr, dst_addr, payload_bytes);
+  pe_->run_to_completion();
+  return pe_->last_stats();
+}
+
+void PETestBench::start_chunk(std::uint64_t src_addr, std::uint64_t dst_addr,
+                              std::uint32_t payload_bytes) {
   const auto& map = pe_->regmap();
   pe_->mmio_write(map.offset_of(hw::reg::kInAddrLo),
                   static_cast<std::uint32_t>(src_addr));
@@ -318,8 +325,6 @@ ChunkStats PETestBench::run_chunk(std::uint64_t src_addr,
     pe_->mmio_write(map.offset_of(hw::reg::kInSize), payload_bytes);
   }
   pe_->mmio_write(map.offset_of(hw::reg::kStart), 1);
-  pe_->run_to_completion();
-  return pe_->last_stats();
 }
 
 }  // namespace ndpgen::hwsim

@@ -165,6 +165,11 @@ class PETestBench {
   ChunkStats run_chunk(std::uint64_t src_addr, std::uint64_t dst_addr,
                        std::uint32_t payload_bytes);
 
+  /// Programs the chunk registers and writes START without running, so
+  /// a caller can drive the run itself (e.g. through FastChunkEngine).
+  void start_chunk(std::uint64_t src_addr, std::uint64_t dst_addr,
+                   std::uint32_t payload_bytes);
+
  private:
   SimMemory memory_;
   obs::Observability obs_;

@@ -12,6 +12,7 @@
 
 #include "hwgen/register_map.hpp"
 #include "hwgen/template_builder.hpp"
+#include "hwsim/fast_path.hpp"
 #include "hwsim/pe_sim.hpp"
 #include "spec/parser.hpp"
 #include "support/bytes.hpp"
@@ -335,6 +336,189 @@ TEST(FastForward, ForeignModuleForcesExactFallbackWithSameResults) {
   const auto [sf, mf] = run(SimMode::kFast, true);
   expect_chunk_eq(se, sf);
   EXPECT_EQ(me, mf);
+}
+
+// ---- Survivor assembly: fused bit-move plan vs per-tuple chain -------
+
+/// Everything a chunk run leaves behind that the two modes must agree on.
+struct ChunkImage {
+  ChunkStats stats;
+  std::vector<std::uint8_t> out;  ///< Output DRAM window (one 32 KB block).
+  std::string metrics;
+  std::uint64_t now = 0;
+};
+
+constexpr std::uint64_t kOutAddr = 1 << 16;
+
+/// Runs one chunk of `data` with every filter stage set to nop except
+/// stage 0, which applies (`field`, `op`, `value`). Fast mode calls the
+/// fused engine directly and requires it to apply, so a silent fall back
+/// to exact ticking cannot pass for agreement.
+ChunkImage run_image(const hw::PEDesign& design, SimMode mode,
+                     const std::vector<std::uint8_t>& data,
+                     std::uint32_t field, const std::string& op,
+                     std::uint64_t value) {
+  PETestBench bench(design, bench_config(mode));
+  bench.memory().write_bytes(0, data);
+  const std::uint32_t nop = design.operators.find("nop")->encoding;
+  for (std::uint32_t s = 0; s < design.filter_stage_count(); ++s) {
+    bench.set_filter(s, 0, nop, 0);
+  }
+  bench.set_filter(0, field, design.operators.find(op)->encoding, value);
+  ChunkImage image;
+  bench.start_chunk(0, kOutAddr, static_cast<std::uint32_t>(data.size()));
+  if (mode == SimMode::kFast) {
+    EXPECT_TRUE(FastChunkEngine::run(bench.kernel(), bench.pe(), 1'000'000));
+  } else {
+    bench.pe().run_to_completion();
+  }
+  image.stats = bench.pe().last_stats();
+  image.out = to_vec(bench.memory().read_bytes(kOutAddr, 32768));
+  image.metrics = bench.observability().metrics.dump_json();
+  image.now = bench.kernel().now();
+  return image;
+}
+
+/// Runs the chunk in both modes and checks they agree byte for byte;
+/// returns the exact run for further checks.
+ChunkImage expect_modes_agree(const hw::PEDesign& design,
+                              const std::vector<std::uint8_t>& data,
+                              std::uint32_t field, const std::string& op,
+                              std::uint64_t value) {
+  const ChunkImage exact =
+      run_image(design, SimMode::kExact, data, field, op, value);
+  const ChunkImage fast =
+      run_image(design, SimMode::kFast, data, field, op, value);
+  expect_chunk_eq(exact.stats, fast.stats);
+  EXPECT_EQ(exact.out, fast.out);
+  EXPECT_EQ(exact.metrics, fast.metrics);
+  EXPECT_EQ(exact.now, fast.now);
+  return exact;
+}
+
+std::vector<std::uint8_t> random_payload(std::size_t bytes,
+                                         std::uint64_t seed) {
+  std::vector<std::uint8_t> data(bytes);
+  for (auto& b : data) {
+    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<std::uint8_t>(seed >> 56);
+  }
+  return data;
+}
+
+// 160-bit input, no field on a 64-bit boundary after the first; the
+// projection keeps three fields, so the copied input bits have gaps.
+const std::string kMixedSpec =
+    "/* @autogen define parser M with chunksize = 32, input = Mixed, "
+    "output = Kept, mapping = { output.b = input.b, output.c = input.c, "
+    "output.e = input.e } */"
+    "typedef struct { uint8_t tag; uint32_t a; uint16_t b; int64_t c; "
+    "uint8_t d; uint32_t e; } Mixed;"
+    "typedef struct { uint16_t b; int64_t c; uint32_t e; } Kept;";
+
+TEST(FusedAssembly, UnalignedProjectionWithGapsMatchesExact) {
+  const auto design = design_for(kMixedSpec, "M");
+  const auto data = random_payload(20 * 301, 3);
+  const ChunkImage exact = expect_modes_agree(design, data, 0, "ge", 100);
+  EXPECT_GT(exact.stats.tuples_out, 0u);
+  EXPECT_LT(exact.stats.tuples_out, exact.stats.tuples_in);
+}
+
+TEST(FusedAssembly, OutputStorageGapsStayZero) {
+  // Hand-widened output layout: holes before, between and after the
+  // fields, and a tuple width that is not a multiple of 8 bits, so
+  // survivors straddle output words at every phase.
+  auto design = design_for(kMixedSpec, "M");
+  auto& out = design.parser.output;
+  std::uint32_t offset = 3;
+  for (auto& f : out.fields) {
+    f.storage_offset_bits = offset;
+    offset += f.storage_width_bits + 5;
+  }
+  out.storage_bits = offset + 2;
+  const auto data = random_payload(20 * 97, 8);
+  const ChunkImage exact = expect_modes_agree(design, data, 4, "lt", 128);
+  EXPECT_GT(exact.stats.tuples_out, 0u);
+}
+
+TEST(FusedAssembly, ReorderingProjectionMatchesExact) {
+  const std::string spec =
+      "/* @autogen define parser R with chunksize = 32, input = Point3D, "
+      "output = Point2D, mapping = { output.x = input.z, "
+      "output.y = input.x } */"
+      "typedef struct { uint32_t x, y, z; } Point3D;"
+      "typedef struct { uint32_t x, y; } Point2D;";
+  const auto design = design_for(spec, "R");
+  const auto points = make_points(200);
+  const ChunkImage exact = expect_modes_agree(design, points, 0, "lt", 150);
+  ASSERT_EQ(exact.stats.tuples_out, 150u);
+  // Output tuple i is (z, x) of input tuple i.
+  EXPECT_EQ(support::get_u32(exact.out, 0), 1000u);
+  EXPECT_EQ(support::get_u32(exact.out, 4), 0u);
+  EXPECT_EQ(support::get_u32(exact.out, 149 * 8), 1149u);
+  EXPECT_EQ(support::get_u32(exact.out, 149 * 8 + 4), 149u);
+}
+
+TEST(FusedAssembly, OpaqueFieldWiderThan64BitsMatchesExact) {
+  // The pub-graph paper record carries a 96-byte opaque title postfix;
+  // an identity parser copies it whole.
+  const std::string spec =
+      "/* @autogen define parser Copy with chunksize = 32, input = Paper, "
+      "output = Paper */"
+      "typedef struct { uint64_t id; uint32_t year; uint32_t venue_id; "
+      "uint32_t n_refs; uint32_t n_cited; /* @string prefix = 8 */ "
+      "char title[104]; } Paper;";
+  const auto design = design_for(spec, "Copy");
+  const auto data = random_payload(128 * 250, 21);
+  const ChunkImage exact = expect_modes_agree(design, data, 1, "lt", 1u << 31);
+  EXPECT_GT(exact.stats.tuples_out, 0u);
+  EXPECT_LT(exact.stats.tuples_out, exact.stats.tuples_in);
+}
+
+TEST(FusedAssembly, ZeroAndAllSurvivorsMatchExact) {
+  const auto design = design_for(kMixedSpec, "M");
+  const auto data = random_payload(20 * 128, 5);
+  const ChunkImage none = expect_modes_agree(design, data, 0, "lt", 0);
+  EXPECT_EQ(none.stats.tuples_out, 0u);
+  const ChunkImage all = expect_modes_agree(design, data, 0, "nop", 0);
+  EXPECT_EQ(all.stats.tuples_out, 128u);
+}
+
+TEST(FusedAssembly, StaticBaselineZeroPadMatchesExact) {
+  const auto design =
+      design_for(kMixedSpec, "M", hw::DesignFlavor::kHandcraftedBaseline);
+  const auto data = random_payload(20 * 150, 13);
+  const ChunkImage exact = expect_modes_agree(design, data, 0, "ge", 64);
+  EXPECT_EQ(exact.stats.bytes_written, 32768u);
+}
+
+TEST(FusedAssembly, MalformedTransformFallsBackToExactRaise) {
+  // A wire whose destination leaves the output tuple: the per-tuple
+  // transform raises on the first survivor, and the fused engine must
+  // leave the chunk to the exact path so the raise is identical.
+  auto design = design_for(kPointSpec, "P");
+  auto& field = design.parser.output.fields[1];
+  field.padded_offset_bits = design.parser.output.padded_bits;
+  const auto points = make_points(32);
+  auto raise = [&](SimMode mode) {
+    PETestBench bench(design, bench_config(mode));
+    bench.memory().write_bytes(0, points);
+    bench.set_filter(0, 0, 3 /* ge */, 8);
+    bench.start_chunk(0, 8192, static_cast<std::uint32_t>(points.size()));
+    if (mode == SimMode::kFast) {
+      EXPECT_FALSE(
+          FastChunkEngine::run(bench.kernel(), bench.pe(), 1'000'000));
+    }
+    std::string message;
+    try {
+      bench.pe().run_to_completion();
+    } catch (const Error& e) {
+      message = e.what();
+    }
+    EXPECT_FALSE(message.empty());
+    return std::pair{bench.kernel().now(), message};
+  };
+  EXPECT_EQ(raise(SimMode::kExact), raise(SimMode::kFast));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // performance comparison.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/framework.hpp"
@@ -15,7 +16,10 @@
 namespace ndpgen::hwgen {
 namespace {
 
-using Param = std::tuple<const char* /*op*/, std::uint32_t /*stages*/>;
+// The operator is a std::string, not a const char*: gtest prints a pointer
+// parameter as its address, which would put an ASLR-dependent value into
+// every discovered test name.
+using Param = std::tuple<std::string /*op*/, std::uint32_t /*stages*/>;
 
 class FlavorEquivalence : public ::testing::TestWithParam<Param> {};
 
@@ -79,11 +83,13 @@ TEST_P(FlavorEquivalence, BaselineMatchesGenerated) {
 
 INSTANTIATE_TEST_SUITE_P(
     OperatorsAndStages, FlavorEquivalence,
-    ::testing::Combine(::testing::Values("ne", "eq", "gt", "ge", "lt", "le",
-                                         "nop"),
+    ::testing::Combine(::testing::Values(std::string("ne"), std::string("eq"),
+                                         std::string("gt"), std::string("ge"),
+                                         std::string("lt"), std::string("le"),
+                                         std::string("nop")),
                        ::testing::Values(1u, 3u)),
     [](const ::testing::TestParamInfo<Param>& info) {
-      return std::string(std::get<0>(info.param)) + "_stages" +
+      return std::get<0>(info.param) + "_stages" +
              std::to_string(std::get<1>(info.param));
     });
 

@@ -52,14 +52,16 @@ more than the fallback it replaced means the cut policy (or the chain
 pricing feeding it) regressed. Same grace path — results without paired
 _hw/_sw rows make the guard note the gap and pass.
 
---sim-throughput-threshold arms the fast-forward speedup guard, also
-self-referential: any bench carrying both a "sim_throughput|fast" and a
-"sim_throughput|exact" row (wall-clock simulated cycles per second, from
-fig7_scan) must show fast mode at least `threshold` times the exact-mode
-throughput. These are the only wall-clock rows in the bench suite, so they
-never enter the baseline comparison; the ratio between the two modes in
+--sim-throughput-threshold arms the fast-vs-exact speedup guard, also
+self-referential: any bench carrying both a "<series>_throughput|fast"
+and a "<series>_throughput|exact" row must show the fast row at least
+`threshold` times the exact one. fig7_scan emits two such pairs, both
+wall-clock: sim_throughput (simulated cycles per second, fast-forward vs
+cycle-exact PE simulation) and crc32c_throughput (MB/s of the dispatched
+CRC32C kernel vs the byte-table oracle). Their units (cyc/s, MB/s) keep
+them out of the baseline comparison; the ratio between the two rows of
 the *same* run is machine-independent enough to gate on, and a collapse
-means a change quietly forced the fused fast path back to exact ticking.
+to ~1x means a change quietly forced the fast path back to the slow one.
 
 Usage:
   check_bench_regression.py --baseline bench/baseline.json --results DIR
@@ -190,28 +192,33 @@ def check_query_overhead(benches, threshold):
     return compared, failures
 
 
-def check_sim_throughput(benches, floor):
-    """Pairs sim_throughput fast/exact rows within the results; returns
-    (pairs_compared, failure_messages)."""
+def check_throughput_pairs(benches, floor):
+    """Pairs every <series>_throughput|fast row with its |exact row within
+    the results; returns (pairs_compared, failure_messages)."""
     compared = 0
     failures = []
     for bench, rows in sorted(benches.items()):
-        fast = rows.get("sim_throughput|fast")
-        exact = rows.get("sim_throughput|exact")
-        if fast is None or exact is None:
-            continue
-        compared += 1
-        if exact["value"] <= 0:
-            failures.append(
-                f"{bench} sim_throughput|exact: non-positive throughput "
-                f"{exact['value']:.3f} [sim-throughput]")
-            continue
-        speedup = fast["value"] / exact["value"]
-        if speedup < floor:
-            failures.append(
-                f"{bench} sim_throughput: fast {fast['value']:.0f} cyc/s is "
-                f"only {speedup:.1f}x exact {exact['value']:.0f} cyc/s "
-                f"(floor {floor:.1f}x) [sim-throughput]")
+        for key in sorted(rows):
+            series, _, x = key.partition("|")
+            if not series.endswith("_throughput") or x != "fast":
+                continue
+            exact = rows.get(f"{series}|exact")
+            if exact is None:
+                continue
+            fast = rows[key]
+            compared += 1
+            unit = fast["unit"]
+            if exact["value"] <= 0:
+                failures.append(
+                    f"{bench} {series}|exact: non-positive throughput "
+                    f"{exact['value']:.3f} [sim-throughput]")
+                continue
+            speedup = fast["value"] / exact["value"]
+            if speedup < floor:
+                failures.append(
+                    f"{bench} {series}: fast {fast['value']:.0f} {unit} is "
+                    f"only {speedup:.1f}x exact {exact['value']:.0f} {unit} "
+                    f"(floor {floor:.1f}x) [sim-throughput]")
     return compared, failures
 
 
@@ -272,9 +279,10 @@ def main():
                              "when the flag is absent")
     parser.add_argument("--sim-throughput-threshold", type=float,
                         default=None,
-                        help="minimum sim_throughput|fast over "
-                             "sim_throughput|exact speedup within the "
-                             "results (wall-clock rows from fig7_scan); "
+                        help="minimum <series>_throughput|fast over "
+                             "<series>_throughput|exact speedup within the "
+                             "results (wall-clock sim_throughput and "
+                             "crc32c_throughput rows from fig7_scan); "
                              "guard is off when the flag is absent")
     parser.add_argument("--scale", type=int, default=None,
                         help="NDPGEN_SCALE the results were produced at "
@@ -400,11 +408,11 @@ def main():
             print(f"query-overhead guard: {query_compared} hw/sw plan "
                   f"pairs (threshold {args.query_overhead_threshold:.0%})")
     if args.sim_throughput_threshold is not None:
-        sim_compared, sim_failures = check_sim_throughput(
+        sim_compared, sim_failures = check_throughput_pairs(
             benches, args.sim_throughput_threshold)
         failures.extend(sim_failures)
         if sim_compared == 0:
-            print("note: no sim_throughput fast/exact row pairs in "
+            print("note: no *_throughput fast/exact row pairs in "
                   "results; sim-throughput guard had nothing to compare")
         else:
             print(f"sim-throughput guard: {sim_compared} fast/exact pairs "

@@ -3,10 +3,10 @@
 
 The sim-equivalence CI job runs the same bench once per kernel mode
 (NDPGEN_SIM_MODE=exact / fast) and requires every virtual-time row to be
-byte-identical between the two runs. Rows measuring *wall-clock* sim
-throughput (series "sim_throughput") legitimately differ — that gap is
-the whole point of the fast-forwarding kernel — so they are excluded
-with --ignore-series.
+byte-identical between the two runs. Rows measuring *wall-clock*
+throughput (series "sim_throughput" and "crc32c_throughput") legitimately
+differ between runs — host timings, not virtual time — so they are
+excluded with --ignore-series.
 
 Usage:
   diff_bench_json.py A.json B.json [--ignore-series sim_throughput ...]
