@@ -1,6 +1,7 @@
 #include "hwsim/fast_path.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -197,6 +198,522 @@ void or_bits(std::vector<std::uint64_t>& words, std::uint64_t bit,
   if (shift + width > 64) words[word + 1] |= value >> (64 - shift);
 }
 
+/// Everything the timing replay reads. The replay is a pure function of
+/// these fields (its clock starts at 0 on the start tick), so their
+/// encoding is a complete memo key.
+struct TimingInput {
+  // Interconnect.
+  std::uint32_t beats_per_cycle = 0;
+  std::uint32_t read_latency = 0;
+  std::uint32_t max_outstanding = 0;
+  std::size_t num_ports = 0;
+  std::size_t rd_idx = 0;
+  std::size_t wr_idx = 0;
+  std::size_t rr_start = 0;  ///< Round-robin cursor before the run.
+  // Kernel horizons.
+  std::uint64_t watchdog = 0;
+  std::uint64_t max_cycles = 0;
+  // Datapath structure.
+  std::uint32_t words_in_depth = 0;
+  std::uint32_t words_out_depth = 0;
+  std::vector<std::uint32_t> tuple_depths;  ///< Tuple streams, in order.
+  std::size_t num_stages = 0;
+  bool has_aggregate = false;
+  bool agg_consumes = false;
+  // Chunk geometry.
+  std::uint32_t words_total = 0;
+  std::uint64_t payload_bits = 0;
+  std::uint32_t storage_bits = 0;
+  std::uint32_t out_storage_bits = 0;
+  bool configurable = false;
+  std::uint32_t chunk = 0;
+  /// Per filter stage: bit i is set when the stage's i-th input tuple
+  /// passes; pass_len[s] is the number of tuples stage s sees.
+  std::vector<std::vector<std::uint64_t>> pass_bits;
+  std::vector<std::uint64_t> pass_len;
+};
+
+/// Encodes every field of `in` into a memo key; each variable-length
+/// part is preceded by its length, so distinct inputs never collide.
+[[nodiscard]] ReplayMemo::Key memo_key(const TimingInput& in) {
+  ReplayMemo::Key key = {
+      in.beats_per_cycle, in.read_latency,    in.max_outstanding,
+      in.num_ports,       in.rd_idx,          in.wr_idx,
+      in.rr_start,        in.watchdog,        in.max_cycles,
+      in.words_in_depth,  in.words_out_depth, in.num_stages,
+      in.has_aggregate,   in.agg_consumes,    in.words_total,
+      in.payload_bits,    in.storage_bits,    in.out_storage_bits,
+      in.configurable,    in.chunk,           in.tuple_depths.size()};
+  key.insert(key.end(), in.tuple_depths.begin(), in.tuple_depths.end());
+  for (std::size_t s = 0; s < in.num_stages; ++s) {
+    key.push_back(in.pass_len[s]);
+    key.insert(key.end(), in.pass_bits[s].begin(), in.pass_bits[s].end());
+  }
+  return key;
+}
+
+/// Replays the exact per-tick schedule of one chunk run — module
+/// evaluation order, stream commit, classification — on plain counters,
+/// from the start tick (time 0) to the finish tick. Returns false when a
+/// deadline or watchdog horizon is reached first: the exact path then
+/// re-runs the chunk from the identical pre-run state and raises at the
+/// very same virtual cycle.
+[[nodiscard]] bool replay_timing(const TimingInput& in, ReplayOutcome& out) {
+  const std::uint32_t bpc = in.beats_per_cycle;
+  const std::uint32_t latency = in.read_latency;
+  const std::uint32_t max_out = in.max_outstanding;
+  const std::size_t num_ports = in.num_ports;
+  const std::size_t rd_idx = in.rd_idx;
+  const std::size_t wr_idx = in.wr_idx;
+  const std::size_t rd_next = (rd_idx + 1) % num_ports;
+  const std::size_t wr_next = (wr_idx + 1) % num_ports;
+  const std::uint64_t wd = in.watchdog;
+  const std::uint64_t max_cycles = in.max_cycles;
+  const std::size_t num_stages = in.num_stages;
+  const std::uint32_t words_total = in.words_total;
+  const std::uint32_t storage_bits = in.storage_bits;
+  const std::uint32_t out_storage_bits = in.out_storage_bits;
+  const bool configurable = in.configurable;
+  const std::uint32_t chunk = in.chunk;
+
+  ModelStream wi;
+  wi.depth = in.words_in_depth;
+  ModelStream wo;
+  wo.depth = in.words_out_depth;
+  const std::size_t num_tuple_streams = in.tuple_depths.size();
+  std::vector<ModelStream> ts(num_tuple_streams);
+  for (std::size_t j = 0; j < num_tuple_streams; ++j) {
+    ts[j].depth = in.tuple_depths[j];
+  }
+  const std::size_t agg_in = num_stages;  // ts index, if present.
+  const std::size_t xform_in = num_stages + (in.has_aggregate ? 1 : 0);
+  const std::size_t xform_out = xform_in + 1;
+
+  // Load + read port.
+  std::uint32_t words_requested = 0;
+  std::uint32_t words_pushed = 0;
+  std::uint32_t rdq = 0;  // read_queue_ occupancy
+  std::vector<std::uint64_t> resp_ready(max_out);  // ready_at ring
+  std::size_t resp_head = 0;
+  std::size_t resp_cnt = 0;
+  std::uint64_t rd_beats_add = 0;
+  // Store + write port.
+  std::uint32_t wrq = 0;  // write_queue_ occupancy
+  std::uint64_t wr_beats_add = 0;
+  std::uint64_t store_payload = 0;
+  std::uint64_t store_bytes = 0;
+  bool st_upstream_done = false;
+  // Interconnect.
+  std::size_t rr = in.rr_start;
+  std::uint64_t total_beats_add = 0;
+  std::uint64_t contended_add = 0;
+  // Input buffer.
+  std::uint64_t payload_rem = in.payload_bits;
+  std::uint64_t ib_pending = 0;
+  std::uint64_t tuples_produced = 0;
+  // Filter stages.
+  std::vector<std::uint64_t> pos(num_stages, 0);
+  std::vector<std::uint64_t> pass_cnt(num_stages, 0);
+  std::vector<std::uint64_t> drop_cnt(num_stages, 0);
+  std::vector<std::uint64_t> stall_in(num_stages, 0);
+  std::vector<std::uint64_t> stall_out(num_stages, 0);
+  // Aggregate / transform / output buffer.
+  std::uint64_t agg_folded = 0;
+  std::uint64_t transformed = 0;
+  std::uint64_t ob_pending = 0;
+  std::uint64_t ob_tuples = 0;
+  bool ob_upstream_done = false;
+  // Classification.
+  std::uint64_t useful = 0;
+  std::uint64_t stalled = 0;
+  std::uint64_t transfers_acc = 0;
+  std::uint64_t last_delta = 0;
+  std::uint64_t stalled_since = 0;
+  std::uint64_t nf = 0;
+
+  std::uint64_t now = 0;
+  while (true) {
+    // run_until's loop-top checks, mirrored so a fallback replay raises
+    // at the identical cycle.
+    if (now >= max_cycles) return false;
+    if (wd > 0) {
+      if (transfers_acc != last_delta) {
+        last_delta = transfers_acc;
+        stalled_since = now;
+      } else if (now - stalled_since >= wd) {
+        return false;  // Watchdog would trip: replay exactly.
+      }
+    }
+    if (now == 0) {
+      // Start tick: the sequencer (last in module order) consumes
+      // START and resets the datapath; every earlier module no-ops on
+      // its post-previous-run state. PE busy, no transfers -> stalled.
+      ++stalled;
+      ++now;
+      continue;
+    }
+
+    // Per-tick action record for the steady-state stride below: which
+    // branches fired this tick. A tick whose actions leave every
+    // occupancy unchanged provably repeats until a counter crosses a
+    // guard boundary, and those repeats can be accounted arithmetically.
+    const std::size_t rr_start = rr;
+    std::uint32_t grants_r_t = 0;
+    std::uint32_t grants_w_t = 0;
+    bool contended_t = false;
+    std::uint32_t issued_t = 0;
+    bool load_push_t = false;
+    bool ib_pop_t = false;
+    std::uint64_t ib_take_t = 0;
+    bool tuple_activity_t = false;
+    bool ob_emit_t = false;
+    bool ob_partial_t = false;
+    bool store_pop_t = false;
+    bool store_pad_t = false;
+
+    // --- AXI interconnect (module order position 0) ---
+    // Only this PE's two ports can hold demand (all ports started idle
+    // and foreign modules are frozen), so the round-robin walk reduces
+    // to granting the cyclically-nearest grantable port; the cursor
+    // lands one past the last grant, exactly as the inspected-counter
+    // loop leaves it.
+    {
+      std::uint32_t granted = 0;
+      while (granted < bpc) {
+        // Cyclic distances stay below 2*num_ports, so a conditional
+        // subtraction replaces the modulo (a division per tick otherwise).
+        constexpr std::size_t kNoPort = static_cast<std::size_t>(-1);
+        std::size_t d_rd = kNoPort;
+        if (rdq > 0 && resp_cnt < max_out) {
+          d_rd = rd_idx + num_ports - rr;
+          if (d_rd >= num_ports) d_rd -= num_ports;
+        }
+        std::size_t d_wr = kNoPort;
+        if (wrq > 0) {
+          d_wr = wr_idx + num_ports - rr;
+          if (d_wr >= num_ports) d_wr -= num_ports;
+        }
+        if (d_rd == kNoPort && d_wr == kNoPort) break;
+        if (d_rd <= d_wr) {
+          --rdq;
+          std::size_t slot = resp_head + resp_cnt;
+          if (slot >= max_out) slot -= max_out;
+          resp_ready[slot] = now + latency;
+          ++resp_cnt;
+          ++rd_beats_add;
+          ++grants_r_t;
+          rr = rd_next;
+        } else {
+          --wrq;
+          ++wr_beats_add;
+          ++grants_w_t;
+          rr = wr_next;
+        }
+        ++granted;
+        ++total_beats_add;
+      }
+      if ((rdq > 0 || wrq > 0) && granted == bpc) {
+        ++contended_add;
+        contended_t = true;
+      }
+    }
+
+    // --- Load unit ---
+    while (words_requested < words_total && rdq < kIssueWindow) {
+      ++rdq;
+      ++words_requested;
+      ++issued_t;
+    }
+    if (words_pushed < words_total && resp_cnt > 0 &&
+        resp_ready[resp_head] <= now && wi.can_push()) {
+      if (++resp_head == max_out) resp_head = 0;
+      --resp_cnt;
+      wi.push();
+      ++words_pushed;
+      load_push_t = true;
+    }
+
+    // --- Tuple input buffer ---
+    if (wi.vis > 0 && ib_pending < storage_bits + 64) {
+      --wi.vis;
+      ib_pop_t = true;
+      if (payload_rem > 0) {
+        const std::uint64_t take = payload_rem < 64 ? payload_rem : 64;
+        ib_pending += take;
+        payload_rem -= take;
+        ib_take_t = take;
+      }
+    }
+    if (ib_pending >= storage_bits && ts[0].can_push()) {
+      ts[0].push();
+      ib_pending -= storage_bits;
+      ++tuples_produced;
+      tuple_activity_t = true;
+    }
+    if (payload_rem == 0 && ib_pending < storage_bits) ib_pending = 0;
+
+    // --- Filter stages ---
+    for (std::size_t s = 0; s < num_stages; ++s) {
+      ModelStream& sin = ts[s];
+      if (sin.vis == 0) {
+        ++stall_in[s];
+      } else if (!ts[s + 1].can_push()) {
+        ++stall_out[s];
+      } else {
+        --sin.vis;
+        tuple_activity_t = true;
+        const std::uint64_t p = pos[s]++;
+        if ((in.pass_bits[s][p / 64] >> (p % 64) & 1) != 0) {
+          ts[s + 1].push();
+          ++pass_cnt[s];
+        } else {
+          ++drop_cnt[s];
+        }
+      }
+    }
+
+    // --- Aggregate unit (optional) ---
+    if (in.has_aggregate && ts[agg_in].vis > 0) {
+      if (!in.agg_consumes) {
+        if (ts[agg_in + 1].can_push()) {
+          --ts[agg_in].vis;
+          ts[agg_in + 1].push();
+          tuple_activity_t = true;
+        }
+      } else {
+        --ts[agg_in].vis;
+        ++agg_folded;
+        tuple_activity_t = true;
+      }
+    }
+
+    // --- Transform unit ---
+    if (ts[xform_in].vis > 0 && ts[xform_out].can_push()) {
+      --ts[xform_in].vis;
+      ts[xform_out].push();
+      ++transformed;
+      tuple_activity_t = true;
+    }
+
+    // --- Tuple output buffer ---
+    {
+      ModelStream& oin = ts[num_tuple_streams - 1];
+      if (oin.vis > 0 && ob_pending < 64 + out_storage_bits) {
+        --oin.vis;
+        ob_pending += out_storage_bits;
+        ++ob_tuples;
+        tuple_activity_t = true;
+      }
+      if (wo.can_push()) {
+        if (ob_pending >= 64) {
+          wo.push();
+          ob_pending -= 64;
+          ob_emit_t = true;
+        } else if (ob_upstream_done && ob_pending > 0 && oin.vis == 0) {
+          wo.push();  // Final partial word, zero-padded.
+          ob_pending = 0;
+          ob_partial_t = true;
+        }
+      }
+    }
+
+    // --- Store unit ---
+    if (wo.vis > 0 && wrq < kIssueWindow) {
+      --wo.vis;
+      ++wrq;
+      store_payload += 8;
+      store_bytes += 8;
+      store_pop_t = true;
+    } else if (!configurable && st_upstream_done && wo.vis == 0 &&
+               store_bytes < chunk && wrq < kIssueWindow) {
+      ++wrq;  // Static baseline: zero-pad the block.
+      store_bytes += 8;
+      store_pad_t = true;
+    }
+
+    // --- Sequencer (the PE module, last in order) ---
+    bool drained = words_pushed == words_total && payload_rem == 0 &&
+                   ib_pending < storage_bits && wi.empty();
+    if (drained) {
+      for (const ModelStream& t : ts) {
+        if (!t.empty()) {
+          drained = false;
+          break;
+        }
+      }
+    }
+    ob_upstream_done = drained;
+    st_upstream_done = drained && ob_pending == 0;
+    const bool store_done =
+        st_upstream_done && wo.empty() &&
+        (configurable || store_bytes >= chunk);
+    const bool finished =
+        store_done && rdq == 0 && resp_cnt == 0 && wrq == 0;
+
+    // --- End-of-tick stream commit + classification ---
+    std::uint32_t moved = wi.commit() + wo.commit();
+    for (ModelStream& t : ts) moved += t.commit();
+    if (moved > 0) {
+      transfers_acc += moved;
+      ++useful;
+    } else if (finished) {
+      // The finish tick: finish_run already ran inside the sequencer
+      // step and the kernel then classifies a fully quiescent state.
+      nf = now;
+      break;
+    } else {
+      ++stalled;
+    }
+
+    // --- Steady-state stride -----------------------------------------
+    //
+    // A tick with no tuple-plane activity whose actions cancel out
+    // (every queue occupancy, the response count and the round-robin
+    // cursor end where they started) repeats verbatim: every branch it
+    // took depends only on state that just proved itself stationary,
+    // plus monotonic counters whose guard crossings are computable in
+    // closed form. Account the longest provably-identical run of future
+    // ticks in one step instead of replaying them. This is where the
+    // word-serial plateau between tuple emissions and the static-mode
+    // zero-pad drain collapse to O(1) per span.
+    do {
+      const std::uint32_t load_push_u = load_push_t ? 1 : 0;
+      if (tuple_activity_t || ob_partial_t) break;
+      if (issued_t != grants_r_t || grants_r_t != load_push_u) break;
+      if ((ib_pop_t ? 1u : 0u) != load_push_u) break;
+      if (ib_pop_t && ib_take_t != 64) break;
+      if ((ob_emit_t ? 1u : 0u) != (store_pop_t ? 1u : 0u)) break;
+      if (grants_w_t != (store_pop_t ? 1u : 0u) + (store_pad_t ? 1u : 0u)) {
+        break;
+      }
+      if (grants_r_t + grants_w_t > 0 && rr != rr_start) break;
+      if (ib_pop_t && payload_rem == 0) break;  // last payload word
+      bool ts_empty = true;
+      for (const ModelStream& t : ts) ts_empty = ts_empty && t.vis == 0;
+      if (!ts_empty) break;
+
+      // Upper bound on identical repeats: every loop-top exit and every
+      // guard this tick's branches depended on must stay un-flipped for
+      // all strided ticks (strict bounds keep `drained` and the
+      // upstream-done latches constant too).
+      std::uint64_t g = max_cycles - now - 1;
+      if (moved == 0 && wd > 0) {
+        g = std::min(g, stalled_since + wd - 1 - now);
+      }
+      if (issued_t > 0) {
+        g = std::min<std::uint64_t>(g, words_total - words_requested);
+      }
+      if (ib_pop_t) {
+        g = std::min(g, (storage_bits - 1 - ib_pending) / 64);
+        g = std::min(g, (payload_rem - 1) / 64);
+      }
+      if (ob_emit_t) {
+        g = std::min(g, ob_pending > 0 ? (ob_pending - 1) / 64 : 0);
+      }
+      if (store_pad_t) {
+        g = std::min<std::uint64_t>(g, (chunk - store_bytes) / 8);
+      }
+      // The response scan below walks up to g ring entries, so it comes
+      // after every closed-form bound has shrunk g.
+      if (load_push_t) {
+        g = std::min<std::uint64_t>(
+            g, words_pushed < words_total ? words_total - words_pushed - 1
+                                          : 0);
+        // Every strided pop must find its response arrived: entry j past
+        // the head is popped at tick now+1+j; entries granted during the
+        // stride recycle with `resp_cnt` in flight and need latency to
+        // fit inside that pipeline depth.
+        const std::uint64_t scan =
+            std::min<std::uint64_t>(g, static_cast<std::uint64_t>(resp_cnt));
+        for (std::uint64_t j = 0; j < scan; ++j) {
+          std::size_t slot = resp_head + j;
+          if (slot >= max_out) slot -= max_out;
+          if (resp_ready[slot] > now + 1 + j) {
+            g = j;
+            break;
+          }
+        }
+        if (latency > resp_cnt) {
+          g = std::min<std::uint64_t>(g, resp_cnt);
+        }
+      } else if (words_pushed < words_total && resp_cnt > 0 &&
+                 wi.can_push() && resp_ready[resp_head] > now) {
+        // Blocked purely on read latency: the guard flips at a known
+        // virtual time (this is the analytic fast-forward of memory
+        // stall gaps).
+        g = std::min(g, resp_ready[resp_head] - now - 1);
+      }
+      if (g == 0) break;
+
+      // Replay g identical ticks arithmetically.
+      if (load_push_t) {
+        std::size_t slot = resp_head + resp_cnt;
+        if (slot >= max_out) slot -= max_out;
+        for (std::uint64_t i = 0; i < g; ++i) {
+          resp_ready[slot] = now + 1 + i + latency;
+          if (++slot == max_out) slot = 0;
+        }
+        resp_head += g % max_out;
+        if (resp_head >= max_out) resp_head -= max_out;
+        words_pushed += g;
+        words_requested += g;
+        wi.pushes += g;
+      }
+      rd_beats_add += std::uint64_t{grants_r_t} * g;
+      wr_beats_add += std::uint64_t{grants_w_t} * g;
+      total_beats_add += std::uint64_t{grants_r_t + grants_w_t} * g;
+      if (contended_t) contended_add += g;
+      if (ib_pop_t) {
+        ib_pending += 64 * g;
+        payload_rem -= 64 * g;
+      }
+      for (std::size_t s = 0; s < num_stages; ++s) stall_in[s] += g;
+      if (ob_emit_t) {
+        ob_pending -= 64 * g;
+        wo.pushes += g;
+      }
+      if (store_pop_t) store_payload += 8 * g;
+      if (store_pop_t || store_pad_t) store_bytes += 8 * g;
+      if (moved > 0) {
+        transfers_acc += std::uint64_t{moved} * g;
+        useful += g;
+      } else {
+        stalled += g;
+      }
+      now += g;
+    } while (false);
+    ++now;
+  }
+
+  out.cycles = nf;
+  out.useful = useful;
+  out.stalled = stalled;
+  out.tuples_produced = tuples_produced;
+  out.stage_pass = std::move(pass_cnt);
+  out.stage_drop = std::move(drop_cnt);
+  out.stage_stall_in = std::move(stall_in);
+  out.stage_stall_out = std::move(stall_out);
+  out.agg_folded = agg_folded;
+  out.transformed = transformed;
+  out.ob_tuples = ob_tuples;
+  out.store_payload = store_payload;
+  out.store_bytes = store_bytes;
+  out.stream_pushes.push_back(wi.pushes);
+  out.stream_high_water.push_back(wi.high_water);
+  for (const ModelStream& t : ts) {
+    out.stream_pushes.push_back(t.pushes);
+    out.stream_high_water.push_back(t.high_water);
+  }
+  out.stream_pushes.push_back(wo.pushes);
+  out.stream_high_water.push_back(wo.high_water);
+  out.read_beats = rd_beats_add;
+  out.write_beats = wr_beats_add;
+  out.total_beats = total_beats_add;
+  out.contended_cycles = contended_add;
+  out.rr_cursor = rr;
+  return true;
+}
+
 }  // namespace
 
 bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
@@ -384,7 +901,8 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
         pe.aggregate_->fields_[agg_field].true_width, 64);
     if (std::uint64_t{agg_off} + agg_width > storage_bits) return false;
   }
-  std::vector<std::vector<std::uint8_t>> stage_pass(num_stages);
+  std::vector<std::vector<std::uint64_t>> stage_pass(num_stages);
+  std::vector<std::uint64_t> stage_len(num_stages);
   std::vector<std::uint32_t> survivors;
   std::vector<std::uint64_t> out_words;
   std::uint64_t out_bits_width = 0;
@@ -409,17 +927,20 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
       // Resolved non-null by the Phase-1 precheck; binding it here keeps
       // the encoding lookup out of the per-tuple loop.
       const hw::CompareOp& op = *pe.design_.operators.find_encoding(cfg[s].op);
-      std::vector<std::uint8_t>& pass = stage_pass[s];
-      pass.reserve(cur.size());
+      std::vector<std::uint64_t>& pass = stage_pass[s];
+      pass.assign((cur.size() + 63) / 64, 0);
+      stage_len[s] = cur.size();
       std::vector<std::uint32_t> next;
       next.reserve(cur.size());
-      for (const std::uint32_t id : cur) {
+      for (std::size_t i = 0; i < cur.size(); ++i) {
+        const std::uint32_t id = cur[i];
         const std::uint64_t raw = read_bits(
             payload, std::uint64_t{id} * storage_bits + storage_off, width);
         const hw::CompareOperand lhs{raw, finfo.interp, finfo.true_width};
-        const bool ok = op.eval(lhs, rhs);
-        pass.push_back(ok ? 1 : 0);
-        if (ok) next.push_back(id);
+        if (op.eval(lhs, rhs)) {
+          pass[i / 64] |= std::uint64_t{1} << (i % 64);
+          next.push_back(id);
+        }
       }
       cur = std::move(next);
     }
@@ -450,10 +971,9 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
     return false;  // Anything start_run/the datapath would raise: exact.
   }
 
-  const std::uint64_t n_payload_words = out_words.size();
   const std::uint64_t total_write_words =
-      configurable ? n_payload_words
-                   : std::max<std::uint64_t>(n_payload_words, chunk / 8);
+      configurable ? out_words.size()
+                   : std::max<std::uint64_t>(out_words.size(), chunk / 8);
   const std::uint64_t write_bytes = total_write_words * 8;
   if (dst + write_bytes < dst || dst + write_bytes > mem.size()) {
     return false;  // Exact path raises "DRAM write out of bounds".
@@ -468,429 +988,54 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
 
   // ================ Phase 3: integer-state timing replay ===============
   //
-  // Replays the exact per-tick schedule — module evaluation order, stream
-  // commit, classification — on plain counters. Any deadline or watchdog
-  // horizon reached mid-replay aborts to the exact path, which re-runs
-  // the chunk from the identical pre-run state and raises at the very
-  // same virtual cycle.
-  const std::uint32_t bpc = axi->config_.beats_per_cycle;
-  const std::uint32_t latency = axi->config_.read_latency;
-  const std::uint32_t max_out = axi->config_.max_outstanding;
-  const std::size_t rd_next = (rd_idx + 1) % num_ports;
-  const std::size_t wr_next = (wr_idx + 1) % num_ports;
-  const std::uint64_t wd = kernel.watchdog_cycles_;
-  const std::uint64_t n0 = kernel.now_;
-
-  ModelStream wi;
-  wi.depth = static_cast<std::uint32_t>(pe.words_in_->depth());
-  ModelStream wo;
-  wo.depth = static_cast<std::uint32_t>(pe.words_out_->depth());
-  const std::size_t num_tuple_streams = pe.tuple_streams_.size();
-  std::vector<ModelStream> ts(num_tuple_streams);
-  for (std::size_t j = 0; j < num_tuple_streams; ++j) {
-    ts[j].depth = static_cast<std::uint32_t>(pe.tuple_streams_[j]->depth());
+  // The replay's outcome is a pure function of TimingInput, so a PE that
+  // replayed the same input before (the same blocks under the same
+  // predicate, as repeated narrow requests produce) reuses the stored
+  // outcome; either way Phase 4 below writes it back.
+  TimingInput in;
+  in.beats_per_cycle = axi->config_.beats_per_cycle;
+  in.read_latency = axi->config_.read_latency;
+  in.max_outstanding = axi->config_.max_outstanding;
+  in.num_ports = num_ports;
+  in.rd_idx = rd_idx;
+  in.wr_idx = wr_idx;
+  in.rr_start = axi->rr_cursor_;
+  in.watchdog = kernel.watchdog_cycles_;
+  in.max_cycles = max_cycles;
+  in.words_in_depth = static_cast<std::uint32_t>(pe.words_in_->depth());
+  in.words_out_depth = static_cast<std::uint32_t>(pe.words_out_->depth());
+  for (const Stream<Tuple>* stream : pe.tuple_streams_) {
+    in.tuple_depths.push_back(static_cast<std::uint32_t>(stream->depth()));
   }
-  const std::size_t agg_in = num_stages;            // ts index, if present.
-  const std::size_t xform_in = num_stages + (pe.aggregate_ != nullptr ? 1 : 0);
-  const std::size_t xform_out = xform_in + 1;
+  in.num_stages = num_stages;
+  in.has_aggregate = pe.aggregate_ != nullptr;
+  in.agg_consumes = agg_consumes;
+  in.words_total = words_total;
+  in.payload_bits = payload_bits;
+  in.storage_bits = storage_bits;
+  in.out_storage_bits = out_storage_bits;
+  in.configurable = configurable;
+  in.chunk = chunk;
+  in.pass_bits = std::move(stage_pass);
+  in.pass_len = std::move(stage_len);
 
-  // Load + read port.
-  std::uint32_t words_requested = 0;
-  std::uint32_t words_pushed = 0;
-  std::uint32_t rdq = 0;  // read_queue_ occupancy
-  std::vector<std::uint64_t> resp_ready(max_out);  // ready_at ring
-  std::size_t resp_head = 0;
-  std::size_t resp_cnt = 0;
-  std::uint64_t rd_beats_add = 0;
-  // Store + write port.
-  std::uint32_t wrq = 0;  // write_queue_ occupancy
-  std::uint64_t wr_beats_add = 0;
-  std::uint64_t store_payload = 0;
-  std::uint64_t store_bytes = 0;
-  bool st_upstream_done = false;
-  // Interconnect.
-  std::size_t rr = axi->rr_cursor_;
-  std::uint64_t total_beats_add = 0;
-  std::uint64_t contended_add = 0;
-  // Input buffer.
-  std::uint64_t payload_rem = payload_bits;
-  std::uint64_t ib_pending = 0;
-  std::uint64_t tuples_produced = 0;
-  // Filter stages.
-  std::vector<std::uint64_t> pos(num_stages, 0);
-  std::vector<std::uint64_t> pass_cnt(num_stages, 0);
-  std::vector<std::uint64_t> drop_cnt(num_stages, 0);
-  std::vector<std::uint64_t> stall_in(num_stages, 0);
-  std::vector<std::uint64_t> stall_out(num_stages, 0);
-  // Aggregate / transform / output buffer.
-  std::uint64_t agg_folded = 0;
-  std::uint64_t transformed = 0;
-  std::uint64_t ob_pending = 0;
-  std::uint64_t ob_tuples = 0;
-  bool ob_upstream_done = false;
-  // Classification.
-  std::uint64_t useful = 0;
-  std::uint64_t stalled = 0;
-  std::uint64_t transfers_acc = 0;
-  std::uint64_t last_delta = 0;
-  std::uint64_t stalled_since = n0;
-  std::uint64_t nf = 0;
-
-  std::uint64_t now = n0;
-  while (true) {
-    // run_until's loop-top checks, mirrored so a fallback replay raises
-    // at the identical cycle.
-    if (now - n0 >= max_cycles) return false;
-    if (wd > 0) {
-      if (transfers_acc != last_delta) {
-        last_delta = transfers_acc;
-        stalled_since = now;
-      } else if (now - stalled_since >= wd) {
-        return false;  // Watchdog would trip: replay exactly.
-      }
-    }
-    if (now == n0) {
-      // Start tick: the sequencer (last in module order) consumes
-      // START and resets the datapath; every earlier module no-ops on
-      // its post-previous-run state. PE busy, no transfers -> stalled.
-      ++stalled;
-      ++now;
-      continue;
-    }
-
-    // Per-tick action record for the steady-state stride below: which
-    // branches fired this tick. A tick whose actions leave every
-    // occupancy unchanged provably repeats until a counter crosses a
-    // guard boundary, and those repeats can be accounted arithmetically.
-    const std::size_t rr_start = rr;
-    std::uint32_t grants_r_t = 0;
-    std::uint32_t grants_w_t = 0;
-    bool contended_t = false;
-    std::uint32_t issued_t = 0;
-    bool load_push_t = false;
-    bool ib_pop_t = false;
-    std::uint64_t ib_take_t = 0;
-    bool tuple_activity_t = false;
-    bool ob_emit_t = false;
-    bool ob_partial_t = false;
-    bool store_pop_t = false;
-    bool store_pad_t = false;
-
-    // --- AXI interconnect (module order position 0) ---
-    // Only this PE's two ports can hold demand (all ports started idle
-    // and foreign modules are frozen), so the round-robin walk reduces
-    // to granting the cyclically-nearest grantable port; the cursor
-    // lands one past the last grant, exactly as the inspected-counter
-    // loop leaves it.
-    {
-      std::uint32_t granted = 0;
-      while (granted < bpc) {
-        // Cyclic distances stay below 2*num_ports, so a conditional
-        // subtraction replaces the modulo (a division per tick otherwise).
-        constexpr std::size_t kNoPort = static_cast<std::size_t>(-1);
-        std::size_t d_rd = kNoPort;
-        if (rdq > 0 && resp_cnt < max_out) {
-          d_rd = rd_idx + num_ports - rr;
-          if (d_rd >= num_ports) d_rd -= num_ports;
-        }
-        std::size_t d_wr = kNoPort;
-        if (wrq > 0) {
-          d_wr = wr_idx + num_ports - rr;
-          if (d_wr >= num_ports) d_wr -= num_ports;
-        }
-        if (d_rd == kNoPort && d_wr == kNoPort) break;
-        if (d_rd <= d_wr) {
-          --rdq;
-          std::size_t slot = resp_head + resp_cnt;
-          if (slot >= max_out) slot -= max_out;
-          resp_ready[slot] = now + latency;
-          ++resp_cnt;
-          ++rd_beats_add;
-          ++grants_r_t;
-          rr = rd_next;
-        } else {
-          --wrq;
-          ++wr_beats_add;
-          ++grants_w_t;
-          rr = wr_next;
-        }
-        ++granted;
-        ++total_beats_add;
-      }
-      if ((rdq > 0 || wrq > 0) && granted == bpc) {
-        ++contended_add;
-        contended_t = true;
-      }
-    }
-
-    // --- Load unit ---
-    while (words_requested < words_total && rdq < kIssueWindow) {
-      ++rdq;
-      ++words_requested;
-      ++issued_t;
-    }
-    if (words_pushed < words_total && resp_cnt > 0 &&
-        resp_ready[resp_head] <= now && wi.can_push()) {
-      if (++resp_head == max_out) resp_head = 0;
-      --resp_cnt;
-      wi.push();
-      ++words_pushed;
-      load_push_t = true;
-    }
-
-    // --- Tuple input buffer ---
-    if (wi.vis > 0 && ib_pending < storage_bits + 64) {
-      --wi.vis;
-      ib_pop_t = true;
-      if (payload_rem > 0) {
-        const std::uint64_t take = payload_rem < 64 ? payload_rem : 64;
-        ib_pending += take;
-        payload_rem -= take;
-        ib_take_t = take;
-      }
-    }
-    if (ib_pending >= storage_bits && ts[0].can_push()) {
-      ts[0].push();
-      ib_pending -= storage_bits;
-      ++tuples_produced;
-      tuple_activity_t = true;
-    }
-    if (payload_rem == 0 && ib_pending < storage_bits) ib_pending = 0;
-
-    // --- Filter stages ---
-    for (std::size_t s = 0; s < num_stages; ++s) {
-      ModelStream& sin = ts[s];
-      if (sin.vis == 0) {
-        ++stall_in[s];
-      } else if (!ts[s + 1].can_push()) {
-        ++stall_out[s];
-      } else {
-        --sin.vis;
-        tuple_activity_t = true;
-        if (stage_pass[s][pos[s]++] != 0) {
-          ts[s + 1].push();
-          ++pass_cnt[s];
-        } else {
-          ++drop_cnt[s];
-        }
-      }
-    }
-
-    // --- Aggregate unit (optional) ---
-    if (pe.aggregate_ != nullptr && ts[agg_in].vis > 0) {
-      if (agg_op == hw::AggOp::kNone) {
-        if (ts[agg_in + 1].can_push()) {
-          --ts[agg_in].vis;
-          ts[agg_in + 1].push();
-          tuple_activity_t = true;
-        }
-      } else {
-        --ts[agg_in].vis;
-        ++agg_folded;
-        tuple_activity_t = true;
-      }
-    }
-
-    // --- Transform unit ---
-    if (ts[xform_in].vis > 0 && ts[xform_out].can_push()) {
-      --ts[xform_in].vis;
-      ts[xform_out].push();
-      ++transformed;
-      tuple_activity_t = true;
-    }
-
-    // --- Tuple output buffer ---
-    {
-      ModelStream& oin = ts[num_tuple_streams - 1];
-      if (oin.vis > 0 && ob_pending < 64 + out_storage_bits) {
-        --oin.vis;
-        ob_pending += out_storage_bits;
-        ++ob_tuples;
-        tuple_activity_t = true;
-      }
-      if (wo.can_push()) {
-        if (ob_pending >= 64) {
-          wo.push();
-          ob_pending -= 64;
-          ob_emit_t = true;
-        } else if (ob_upstream_done && ob_pending > 0 && oin.vis == 0) {
-          wo.push();  // Final partial word, zero-padded.
-          ob_pending = 0;
-          ob_partial_t = true;
-        }
-      }
-    }
-
-    // --- Store unit ---
-    if (wo.vis > 0 && wrq < kIssueWindow) {
-      --wo.vis;
-      ++wrq;
-      store_payload += 8;
-      store_bytes += 8;
-      store_pop_t = true;
-    } else if (!configurable && st_upstream_done && wo.vis == 0 &&
-               store_bytes < chunk && wrq < kIssueWindow) {
-      ++wrq;  // Static baseline: zero-pad the block.
-      store_bytes += 8;
-      store_pad_t = true;
-    }
-
-    // --- Sequencer (the PE module, last in order) ---
-    bool drained = words_pushed == words_total && payload_rem == 0 &&
-                   ib_pending < storage_bits && wi.empty();
-    if (drained) {
-      for (const ModelStream& t : ts) {
-        if (!t.empty()) {
-          drained = false;
-          break;
-        }
-      }
-    }
-    ob_upstream_done = drained;
-    st_upstream_done = drained && ob_pending == 0;
-    const bool store_done =
-        st_upstream_done && wo.empty() &&
-        (configurable || store_bytes >= chunk);
-    const bool finished =
-        store_done && rdq == 0 && resp_cnt == 0 && wrq == 0;
-
-    // --- End-of-tick stream commit + classification ---
-    std::uint32_t moved = wi.commit() + wo.commit();
-    for (ModelStream& t : ts) moved += t.commit();
-    if (moved > 0) {
-      transfers_acc += moved;
-      ++useful;
-    } else if (finished) {
-      // The finish tick: finish_run already ran inside the sequencer
-      // step and the kernel then classifies a fully quiescent state.
-      nf = now;
-      break;
-    } else {
-      ++stalled;
-    }
-
-    // --- Steady-state stride -----------------------------------------
-    //
-    // A tick with no tuple-plane activity whose actions cancel out
-    // (every queue occupancy, the response count and the round-robin
-    // cursor end where they started) repeats verbatim: every branch it
-    // took depends only on state that just proved itself stationary,
-    // plus monotonic counters whose guard crossings are computable in
-    // closed form. Account the longest provably-identical run of future
-    // ticks in one step instead of replaying them. This is where the
-    // word-serial plateau between tuple emissions and the static-mode
-    // zero-pad drain collapse to O(1) per span.
-    do {
-      const std::uint32_t load_push_u = load_push_t ? 1 : 0;
-      if (tuple_activity_t || ob_partial_t) break;
-      if (issued_t != grants_r_t || grants_r_t != load_push_u) break;
-      if ((ib_pop_t ? 1u : 0u) != load_push_u) break;
-      if (ib_pop_t && ib_take_t != 64) break;
-      if ((ob_emit_t ? 1u : 0u) != (store_pop_t ? 1u : 0u)) break;
-      if (grants_w_t != (store_pop_t ? 1u : 0u) + (store_pad_t ? 1u : 0u)) {
-        break;
-      }
-      if (grants_r_t + grants_w_t > 0 && rr != rr_start) break;
-      if (ib_pop_t && payload_rem == 0) break;  // last payload word
-      bool ts_empty = true;
-      for (const ModelStream& t : ts) ts_empty = ts_empty && t.vis == 0;
-      if (!ts_empty) break;
-
-      // Upper bound on identical repeats: every loop-top exit and every
-      // guard this tick's branches depended on must stay un-flipped for
-      // all strided ticks (strict bounds keep `drained` and the
-      // upstream-done latches constant too).
-      std::uint64_t g = max_cycles - (now - n0) - 1;
-      if (moved == 0 && wd > 0) {
-        g = std::min(g, stalled_since + wd - 1 - now);
-      }
-      if (issued_t > 0) {
-        g = std::min<std::uint64_t>(g, words_total - words_requested);
-      }
-      if (load_push_t) {
-        g = std::min<std::uint64_t>(
-            g, words_pushed < words_total ? words_total - words_pushed - 1
-                                          : 0);
-        // Every strided pop must find its response arrived: entry j past
-        // the head is popped at tick now+1+j; entries granted during the
-        // stride recycle with `resp_cnt` in flight and need latency to
-        // fit inside that pipeline depth.
-        const std::uint64_t scan =
-            std::min<std::uint64_t>(g, static_cast<std::uint64_t>(resp_cnt));
-        for (std::uint64_t j = 0; j < scan; ++j) {
-          std::size_t slot = resp_head + j;
-          if (slot >= max_out) slot -= max_out;
-          if (resp_ready[slot] > now + 1 + j) {
-            g = j;
-            break;
-          }
-        }
-        if (latency > resp_cnt) {
-          g = std::min<std::uint64_t>(g, resp_cnt);
-        }
-      } else if (words_pushed < words_total && resp_cnt > 0 &&
-                 wi.can_push() && resp_ready[resp_head] > now) {
-        // Blocked purely on read latency: the guard flips at a known
-        // virtual time (this is the analytic fast-forward of memory
-        // stall gaps).
-        g = std::min(g, resp_ready[resp_head] - now - 1);
-      }
-      if (ib_pop_t) {
-        g = std::min(g, (storage_bits - 1 - ib_pending) / 64);
-        g = std::min(g, (payload_rem - 1) / 64);
-      }
-      if (ob_emit_t) {
-        g = std::min(g, ob_pending > 0 ? (ob_pending - 1) / 64 : 0);
-      }
-      if (store_pad_t) {
-        g = std::min<std::uint64_t>(g, (chunk - store_bytes) / 8);
-      }
-      if (g == 0) break;
-
-      // Replay g identical ticks arithmetically.
-      if (load_push_t) {
-        std::size_t slot = resp_head + resp_cnt;
-        if (slot >= max_out) slot -= max_out;
-        for (std::uint64_t i = 0; i < g; ++i) {
-          resp_ready[slot] = now + 1 + i + latency;
-          if (++slot == max_out) slot = 0;
-        }
-        resp_head += g % max_out;
-        if (resp_head >= max_out) resp_head -= max_out;
-        words_pushed += g;
-        words_requested += g;
-        wi.pushes += g;
-      }
-      rd_beats_add += std::uint64_t{grants_r_t} * g;
-      wr_beats_add += std::uint64_t{grants_w_t} * g;
-      total_beats_add += std::uint64_t{grants_r_t + grants_w_t} * g;
-      if (contended_t) contended_add += g;
-      if (ib_pop_t) {
-        ib_pending += 64 * g;
-        payload_rem -= 64 * g;
-      }
-      for (std::size_t s = 0; s < num_stages; ++s) stall_in[s] += g;
-      if (ob_emit_t) {
-        ob_pending -= 64 * g;
-        wo.pushes += g;
-      }
-      if (store_pop_t) store_payload += 8 * g;
-      if (store_pop_t || store_pad_t) store_bytes += 8 * g;
-      if (moved > 0) {
-        transfers_acc += std::uint64_t{moved} * g;
-        useful += g;
-      } else {
-        stalled += g;
-      }
-      now += g;
-    } while (false);
-    ++now;
+  ReplayMemo::Key key = memo_key(in);
+  ReplayOutcome replayed;
+  const ReplayOutcome* outcome = pe.replay_memo_.find(key);
+  if (outcome == nullptr) {
+    if (!replay_timing(in, replayed)) return false;
+    pe.replay_memo_.insert(std::move(key), replayed);
+    outcome = &replayed;
   }
+  const ReplayOutcome& o = *outcome;
 
   // ================= Phase 4: state write-back =========================
   //
   // From here on the replay is committed; every mutation below matches
   // what the tick loop would have left behind, byte for byte.
+
+  const std::uint64_t n0 = kernel.now_;
+  const std::uint64_t nf = n0 + o.cycles;
 
   // Replay the start tick on the real sequencer: consumes START, clears
   // the START register, configures and resets every datapath module, and
@@ -900,20 +1045,20 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
   // Window classification for ticks n0..nf-1 (the finish tick nf is
   // classified idle *after* finish_run reads the stats, matching the
   // exact loop's tick ordering).
-  kernel.cycle_stats_.useful += useful;
-  kernel.cycle_stats_.stalled += stalled;
+  kernel.cycle_stats_.useful += o.useful;
+  kernel.cycle_stats_.stalled += o.stalled;
 
   // Datapath module state at completion.
   pe.load_->words_requested_ = words_total;
   pe.load_->words_pushed_ = words_total;
   pe.in_buffer_->payload_bits_remaining_ = 0;
   pe.in_buffer_->pending_ = support::BitVector();
-  pe.in_buffer_->tuples_produced_ = tuples_produced;
+  pe.in_buffer_->tuples_produced_ = o.tuples_produced;
   for (std::size_t s = 0; s < num_stages; ++s) {
-    pe.stages_[s]->pass_count_ = pass_cnt[s];
-    pe.stages_[s]->drop_count_ = drop_cnt[s];
-    pe.stages_[s]->stall_in_count_ = stall_in[s];
-    pe.stages_[s]->stall_out_count_ = stall_out[s];
+    pe.stages_[s]->pass_count_ = o.stage_pass[s];
+    pe.stages_[s]->drop_count_ = o.stage_drop[s];
+    pe.stages_[s]->stall_in_count_ = o.stage_stall_in[s];
+    pe.stages_[s]->stall_out_count_ = o.stage_stall_out[s];
   }
   if (agg_consumes) {
     // start_run (via pe.cycle above) configured and reset the
@@ -926,53 +1071,54 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
           payload, std::uint64_t{id} * storage_bits + agg_off, agg_width);
       pe.aggregate_->fold(raw, finfo);
     }
-    pe.aggregate_->folded_ = agg_folded;
+    pe.aggregate_->folded_ = o.agg_folded;
   }
-  pe.transform_->tuples_transformed_ = transformed;
+  pe.transform_->tuples_transformed_ = o.transformed;
   pe.out_buffer_->pending_ = support::BitVector();
   pe.out_buffer_->upstream_done_ = true;
-  pe.out_buffer_->payload_bits_ = ob_tuples * out_storage_bits;
-  pe.out_buffer_->tuples_consumed_ = ob_tuples;
-  pe.store_->payload_bytes_ = store_payload;
-  pe.store_->bytes_transferred_ = store_bytes;
+  pe.out_buffer_->payload_bits_ = o.ob_tuples * out_storage_bits;
+  pe.out_buffer_->tuples_consumed_ = o.ob_tuples;
+  pe.store_->payload_bytes_ = o.store_payload;
+  pe.store_->bytes_transferred_ = o.store_bytes;
   pe.store_->upstream_done_ = true;
 
   // Stream statistics: transfers and high-water marks accumulate across
   // runs; occupancies are already empty.
-  auto merge_stream = [](StreamBase* stream, const ModelStream& model) {
+  auto merge_stream = [&o](StreamBase* stream, std::size_t j) {
+    const std::uint64_t pushes = o.stream_pushes[j];
+    const std::size_t high_water = o.stream_high_water[j];
     // All streams here are Stream<uint64_t> or Stream<Tuple>; transfers_
     // and high_water_ live in the template, so dispatch on the two
     // concrete types.
     if (auto* words = dynamic_cast<Stream<std::uint64_t>*>(stream)) {
-      words->transfers_ += model.pushes;
-      if (model.high_water > words->high_water_) {
-        words->high_water_ = model.high_water;
-      }
+      words->transfers_ += pushes;
+      if (high_water > words->high_water_) words->high_water_ = high_water;
     } else if (auto* tuples = dynamic_cast<Stream<Tuple>*>(stream)) {
-      tuples->transfers_ += model.pushes;
-      if (model.high_water > tuples->high_water_) {
-        tuples->high_water_ = model.high_water;
-      }
+      tuples->transfers_ += pushes;
+      if (high_water > tuples->high_water_) tuples->high_water_ = high_water;
     }
   };
-  merge_stream(pe.words_in_, wi);
-  for (std::size_t j = 0; j < num_tuple_streams; ++j) {
-    merge_stream(pe.tuple_streams_[j], ts[j]);
+  merge_stream(pe.words_in_, 0);
+  for (std::size_t j = 0; j < pe.tuple_streams_.size(); ++j) {
+    merge_stream(pe.tuple_streams_[j], j + 1);
   }
-  merge_stream(pe.words_out_, wo);
+  merge_stream(pe.words_out_, pe.tuple_streams_.size() + 1);
 
   // Interconnect + port statistics.
-  pe.read_port_->read_beats_ += rd_beats_add;
-  pe.write_port_->write_beats_ += wr_beats_add;
-  axi->rr_cursor_ = rr;
-  axi->total_beats_ += total_beats_add;
-  axi->contended_cycles_ += contended_add;
+  pe.read_port_->read_beats_ += o.read_beats;
+  pe.write_port_->write_beats_ += o.write_beats;
+  axi->rr_cursor_ = o.rr_cursor;
+  axi->total_beats_ += o.total_beats;
+  axi->contended_cycles_ += o.contended_cycles;
 
   // DRAM effects: the write queue drained in request order, so the final
-  // memory image is the payload words followed by static-mode padding.
-  for (std::uint64_t k = 0; k < total_write_words; ++k) {
-    mem.write_u64(dst + k * 8, k < n_payload_words ? out_words[k] : 0);
-  }
+  // memory image is the payload words followed by static-mode zero
+  // padding, each word little-endian as SimMemory::write_u64 stores it.
+  static_assert(std::endian::native == std::endian::little,
+                "the output words are written as their in-memory bytes");
+  out_words.resize(total_write_words, 0);
+  mem.write_bytes(dst, {reinterpret_cast<const std::uint8_t*>(out_words.data()),
+                        out_words.size() * 8});
 
   // The sequencer's finish step: reads the counters written above,
   // publishes registers, metrics and the trace event — identical to the
@@ -990,6 +1136,41 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
   for (Module* m : foreign) m->credit_idle_cycles(window);
 
   return true;
+}
+
+std::size_t ReplayMemo::KeyHash::operator()(const Key& key) const noexcept {
+  std::uint64_t h = key.size();
+  for (const std::uint64_t word : key) {
+    h = (h ^ word) * 0x9E3779B97F4A7C15ull;
+    h ^= h >> 29;
+  }
+  return static_cast<std::size_t>(h);
+}
+
+const ReplayOutcome* ReplayMemo::find(const Key& key) {
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) return nullptr;
+  ++hits_;
+  return &it->second;
+}
+
+void ReplayMemo::insert(Key key, const ReplayOutcome& outcome) {
+  // Heap bytes of the entry: the hash node (with its key and outcome
+  // objects and the bucket link), then every vector's elements.
+  const std::size_t cost =
+      sizeof(Key) + sizeof(ReplayOutcome) + 4 * sizeof(void*) +
+      key.size() * sizeof(std::uint64_t) +
+      (outcome.stage_pass.size() + outcome.stage_drop.size() +
+       outcome.stage_stall_in.size() + outcome.stage_stall_out.size() +
+       outcome.stream_pushes.size()) *
+          sizeof(std::uint64_t) +
+      outcome.stream_high_water.size() * sizeof(std::uint32_t);
+  if (cost > kByteCap) return;
+  if (bytes_ + cost > kByteCap) {
+    entries_.clear();
+    bytes_ = 0;
+  }
+  if (entries_.emplace(std::move(key), outcome).second) bytes_ += cost;
 }
 
 }  // namespace ndpgen::hwsim

@@ -215,34 +215,64 @@ void SimulatedPE::finish_run(std::uint64_t now) {
 void SimulatedPE::publish_observability(std::uint64_t now) {
   obs::Observability& obs = *kernel_->observability();
   obs::MetricsRegistry& m = obs.metrics;
-  const std::string prefix = "hwsim." + design_.name + ".";
-  m.add(m.counter(prefix + "chunks"), 1);
-  m.add(m.counter(prefix + "cycles"), last_stats_.cycles);
-  m.add(m.counter(prefix + "tuples_in"), last_stats_.tuples_in);
-  m.add(m.counter(prefix + "tuples_out"), last_stats_.tuples_out);
-  m.add(m.counter(prefix + "bytes_read"), last_stats_.bytes_read);
-  m.add(m.counter(prefix + "bytes_written"), last_stats_.bytes_written);
-  m.observe(m.histogram(prefix + "chunk_cycles"), last_stats_.cycles);
-  // Cycle classification, per design and rolled up globally (the global
-  // counters feed platform.publish_metrics's hwsim.idle_cycle_fraction).
-  m.add(m.counter(prefix + "cycles_useful"), last_stats_.cycles_useful);
-  m.add(m.counter(prefix + "cycles_stalled"), last_stats_.cycles_stalled);
-  m.add(m.counter(prefix + "cycles_idle"), last_stats_.cycles_idle);
-  m.add(m.counter("hwsim.cycles_useful"), last_stats_.cycles_useful);
-  m.add(m.counter("hwsim.cycles_stalled"), last_stats_.cycles_stalled);
-  m.add(m.counter("hwsim.cycles_idle"), last_stats_.cycles_idle);
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    const std::string stage = prefix + "filter_" + std::to_string(i) + ".";
-    m.add(m.counter(stage + "pass"), stages_[i]->pass_count());
-    m.add(m.counter(stage + "drop"), stages_[i]->drop_count());
-    m.add(m.counter(stage + "stall_in"), stages_[i]->stall_in_count());
-    m.add(m.counter(stage + "stall_out"), stages_[i]->stall_out_count());
+  MetricHandles& h = metric_handles_;
+  if (h.registry != &m) {
+    // First chunk under this registry: resolve (get-or-create) every
+    // handle in the order the names were always registered.
+    h = MetricHandles{};
+    h.registry = &m;
+    const std::string prefix = "hwsim." + design_.name + ".";
+    h.chunks = m.counter(prefix + "chunks");
+    h.cycles = m.counter(prefix + "cycles");
+    h.tuples_in = m.counter(prefix + "tuples_in");
+    h.tuples_out = m.counter(prefix + "tuples_out");
+    h.bytes_read = m.counter(prefix + "bytes_read");
+    h.bytes_written = m.counter(prefix + "bytes_written");
+    h.chunk_cycles = m.histogram(prefix + "chunk_cycles");
+    h.cycles_useful = m.counter(prefix + "cycles_useful");
+    h.cycles_stalled = m.counter(prefix + "cycles_stalled");
+    h.cycles_idle = m.counter(prefix + "cycles_idle");
+    h.all_useful = m.counter("hwsim.cycles_useful");
+    h.all_stalled = m.counter("hwsim.cycles_stalled");
+    h.all_idle = m.counter("hwsim.cycles_idle");
+    for (std::size_t i = 0; i < stages_.size(); ++i) {
+      const std::string stage = prefix + "filter_" + std::to_string(i) + ".";
+      h.stages.push_back({m.counter(stage + "pass"), m.counter(stage + "drop"),
+                          m.counter(stage + "stall_in"),
+                          m.counter(stage + "stall_out")});
+    }
   }
   // FIFO high-water marks cover all kernel streams (this PE's streams are
   // name-prefixed, so a multi-PE kernel stays unambiguous).
-  for (const auto& stream : kernel_->streams()) {
-    m.raise(m.gauge("hwsim.fifo." + stream->name() + ".high_water"),
-            stream->high_water());
+  const auto& streams = kernel_->streams();
+  for (std::size_t i = h.fifo_high_water.size(); i < streams.size(); ++i) {
+    h.fifo_high_water.push_back(
+        m.gauge("hwsim.fifo." + streams[i]->name() + ".high_water"));
+  }
+
+  m.add(h.chunks, 1);
+  m.add(h.cycles, last_stats_.cycles);
+  m.add(h.tuples_in, last_stats_.tuples_in);
+  m.add(h.tuples_out, last_stats_.tuples_out);
+  m.add(h.bytes_read, last_stats_.bytes_read);
+  m.add(h.bytes_written, last_stats_.bytes_written);
+  m.observe(h.chunk_cycles, last_stats_.cycles);
+  // Cycle classification, per design and rolled up globally (the global
+  // counters feed platform.publish_metrics's hwsim.idle_cycle_fraction).
+  m.add(h.cycles_useful, last_stats_.cycles_useful);
+  m.add(h.cycles_stalled, last_stats_.cycles_stalled);
+  m.add(h.cycles_idle, last_stats_.cycles_idle);
+  m.add(h.all_useful, last_stats_.cycles_useful);
+  m.add(h.all_stalled, last_stats_.cycles_stalled);
+  m.add(h.all_idle, last_stats_.cycles_idle);
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    m.add(h.stages[i].pass, stages_[i]->pass_count());
+    m.add(h.stages[i].drop, stages_[i]->drop_count());
+    m.add(h.stages[i].stall_in, stages_[i]->stall_in_count());
+    m.add(h.stages[i].stall_out, stages_[i]->stall_out_count());
+  }
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    m.raise(h.fifo_high_water[i], streams[i]->high_water());
   }
   if (obs.tracing()) {
     // hwsim events live on the PE-cycle timeline: pid 2, 10 ns per cycle.

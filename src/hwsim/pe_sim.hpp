@@ -14,6 +14,7 @@
 
 #include "hwgen/pe_design.hpp"
 #include "hwsim/aggregate_unit.hpp"
+#include "hwsim/fast_path.hpp"
 #include "obs/obs.hpp"
 #include "hwsim/filter_stage.hpp"
 #include "hwsim/load_unit.hpp"
@@ -93,6 +94,11 @@ class SimulatedPE final : public Module {
     return regs_.map();
   }
 
+  /// The fused engine's memo of timing-replay outcomes for this PE.
+  [[nodiscard]] const ReplayMemo& replay_memo() const noexcept {
+    return replay_memo_;
+  }
+
  private:
   friend class FastChunkEngine;
 
@@ -128,6 +134,25 @@ class SimulatedPE final : public Module {
   std::uint64_t run_start_cycle_ = 0;
   CycleStats run_start_classes_;  ///< Kernel stats snapshot at start_run.
   ChunkStats last_stats_;
+  ReplayMemo replay_memo_;
+
+  /// Metric handles publish_observability updates, resolved once per
+  /// registry (the kernel's stream list may grow, so the FIFO gauges
+  /// extend lazily).
+  struct MetricHandles {
+    const obs::MetricsRegistry* registry = nullptr;
+    obs::CounterHandle chunks, cycles, tuples_in, tuples_out, bytes_read,
+        bytes_written;
+    obs::HistogramHandle chunk_cycles;
+    obs::CounterHandle cycles_useful, cycles_stalled, cycles_idle;
+    obs::CounterHandle all_useful, all_stalled, all_idle;
+    struct Stage {
+      obs::CounterHandle pass, drop, stall_in, stall_out;
+    };
+    std::vector<Stage> stages;
+    std::vector<obs::GaugeHandle> fifo_high_water;  ///< Kernel stream order.
+  };
+  MetricHandles metric_handles_;
 };
 
 /// Configuration of a PETestBench.

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -519,6 +521,296 @@ TEST(FusedAssembly, MalformedTransformFallsBackToExactRaise) {
     return std::pair{bench.kernel().now(), message};
   };
   EXPECT_EQ(raise(SimMode::kExact), raise(SimMode::kFast));
+}
+
+// ---- Replay memo: memoised timing outcomes vs exact ticking ----------
+
+/// Two PEs on one interconnect. `a` runs most chunks alone (through the
+/// fused engine in fast mode); now and then `a` and `b` run together
+/// under run_until, where both read ports contend from the first grant,
+/// so the round-robin cursor a fused run leaves behind shows in the
+/// shared timing.
+struct MemoRig {
+  MemoRig(const hw::PEDesign& design, SimMode mode,
+          AxiInterconnect::Config axi, std::uint64_t watchdog)
+      : memory(1 << 20), interconnect(memory, axi) {
+    kernel.set_mode(mode);
+    kernel.set_observability(&obs);
+    kernel.set_watchdog(watchdog);
+    kernel.add_module(&interconnect);
+    hw::PEDesign other = design;
+    other.name += "_b";
+    a = std::make_unique<SimulatedPE>(design, kernel, interconnect);
+    b = std::make_unique<SimulatedPE>(other, kernel, interconnect);
+  }
+
+  SimMemory memory;
+  obs::Observability obs;
+  SimKernel kernel;
+  AxiInterconnect interconnect;
+  std::unique_ptr<SimulatedPE> a;
+  std::unique_ptr<SimulatedPE> b;
+};
+
+constexpr std::uint64_t kMemoOutA = 512 << 10;
+constexpr std::uint64_t kMemoOutB = 768 << 10;
+constexpr std::uint64_t kMemoPayloadStride = 64 << 10;
+
+/// One chunk's programming: payload slot, stage-0 predicate, IN_SIZE and
+/// the aggregate op (ignored by designs without the register).
+struct MemoChunk {
+  std::uint32_t payload = 0;
+  std::uint32_t field = 0;
+  std::string op = "nop";
+  std::uint64_t value = 0;
+  std::uint32_t in_size = 0;
+  hw::AggOp agg = hw::AggOp::kNone;
+};
+
+void program_chunk(SimulatedPE& pe, const MemoChunk& chunk,
+                   std::uint64_t dst) {
+  const auto& design = pe.design();
+  const auto& map = pe.regmap();
+  auto write64 = [&](std::string_view lo, std::string_view hi,
+                     std::uint64_t value) {
+    pe.mmio_write(map.offset_of(lo), static_cast<std::uint32_t>(value));
+    pe.mmio_write(map.offset_of(hi), static_cast<std::uint32_t>(value >> 32));
+  };
+  const std::uint32_t nop = design.operators.find("nop")->encoding;
+  for (std::uint32_t s = 0; s < design.filter_stage_count(); ++s) {
+    const bool first = s == 0;
+    pe.mmio_write(map.offset_of(hw::reg::filter_field(s)),
+                  first ? chunk.field : 0);
+    pe.mmio_write(map.offset_of(hw::reg::filter_op(s)),
+                  first ? design.operators.find(chunk.op)->encoding : nop);
+    write64(hw::reg::filter_value_lo(s), hw::reg::filter_value_hi(s),
+            first ? chunk.value : 0);
+  }
+  if (map.find(hw::reg::kAggOp) != nullptr) {
+    pe.mmio_write(map.offset_of(hw::reg::kAggOp),
+                  static_cast<std::uint32_t>(chunk.agg));
+    pe.mmio_write(map.offset_of(hw::reg::kAggField), 0);
+  }
+  write64(hw::reg::kInAddrLo, hw::reg::kInAddrHi,
+          chunk.payload * kMemoPayloadStride);
+  write64(hw::reg::kOutAddrLo, hw::reg::kOutAddrHi, dst);
+  if (map.find(hw::reg::kInSize) != nullptr) {
+    pe.mmio_write(map.offset_of(hw::reg::kInSize), chunk.in_size);
+  }
+  pe.mmio_write(map.offset_of(hw::reg::kStart), 1);
+}
+
+/// Runs `chunk` on `a` alone. Fast mode calls the fused engine directly
+/// and requires it to apply, so every run either replays or hits the memo.
+void run_alone(MemoRig& rig, const MemoChunk& chunk) {
+  program_chunk(*rig.a, chunk, kMemoOutA);
+  if (rig.kernel.mode() == SimMode::kFast) {
+    EXPECT_TRUE(FastChunkEngine::run(rig.kernel, *rig.a, 1'000'000));
+  } else {
+    rig.a->run_to_completion();
+  }
+}
+
+void run_together(MemoRig& rig, const MemoChunk& ca, const MemoChunk& cb) {
+  program_chunk(*rig.a, ca, kMemoOutA);
+  program_chunk(*rig.b, cb, kMemoOutB);
+  rig.kernel.run_until([&] { return !rig.a->busy() && !rig.b->busy(); });
+}
+
+/// Checks that the two rigs left identical state behind: output DRAM,
+/// per-PE stats, metrics, clock, cycle classes, every stream's transfers
+/// and high-water mark, and the interconnect counters.
+void expect_rigs_agree(MemoRig& exact, MemoRig& fast) {
+  expect_chunk_eq(exact.a->last_stats(), fast.a->last_stats());
+  expect_chunk_eq(exact.b->last_stats(), fast.b->last_stats());
+  EXPECT_EQ(to_vec(exact.memory.read_bytes(kMemoOutA, 256 << 10)),
+            to_vec(fast.memory.read_bytes(kMemoOutA, 256 << 10)));
+  EXPECT_EQ(exact.obs.metrics.dump_json(), fast.obs.metrics.dump_json());
+  EXPECT_EQ(exact.kernel.now(), fast.kernel.now());
+  EXPECT_EQ(exact.kernel.cycle_stats().useful,
+            fast.kernel.cycle_stats().useful);
+  EXPECT_EQ(exact.kernel.cycle_stats().stalled,
+            fast.kernel.cycle_stats().stalled);
+  EXPECT_EQ(exact.kernel.cycle_stats().idle, fast.kernel.cycle_stats().idle);
+  const auto& se = exact.kernel.streams();
+  const auto& sf = fast.kernel.streams();
+  ASSERT_EQ(se.size(), sf.size());
+  for (std::size_t i = 0; i < se.size(); ++i) {
+    EXPECT_EQ(se[i]->transfers(), sf[i]->transfers()) << se[i]->name();
+    EXPECT_EQ(se[i]->high_water(), sf[i]->high_water()) << se[i]->name();
+  }
+  EXPECT_EQ(exact.interconnect.total_beats(), fast.interconnect.total_beats());
+  EXPECT_EQ(exact.interconnect.contended_cycles(),
+            fast.interconnect.contended_cycles());
+}
+
+/// Chunk menu of one memo scenario: the seeded sequence draws from it.
+struct MemoScenario {
+  std::vector<std::vector<std::uint8_t>> payloads;
+  std::vector<MemoChunk> filters;  ///< Predicate and aggregate op only.
+  std::vector<std::uint32_t> in_sizes;
+  AxiInterconnect::Config axi{};
+  std::uint64_t watchdog = 0;
+  int steps = 200;
+};
+
+/// Runs a seeded sequence of chunks drawn from `scenario` on an exact and
+/// a fast rig, comparing them after every step; returns the fast rig's
+/// memo hits. Sequences mix chunks on `a` alone, zero-size chunks (which
+/// make no grant, so the cursor passes through them) and runs of `a` and
+/// `b` together.
+std::uint64_t run_memo_sequence(const hw::PEDesign& design,
+                                const MemoScenario& scenario,
+                                std::uint64_t seed) {
+  MemoRig exact(design, SimMode::kExact, scenario.axi, scenario.watchdog);
+  MemoRig fast(design, SimMode::kFast, scenario.axi, scenario.watchdog);
+  for (std::size_t p = 0; p < scenario.payloads.size(); ++p) {
+    exact.memory.write_bytes(p * kMemoPayloadStride, scenario.payloads[p]);
+    fast.memory.write_bytes(p * kMemoPayloadStride, scenario.payloads[p]);
+  }
+  auto draw = [&](std::uint64_t bound) {
+    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::uint32_t>((seed >> 33) % bound);
+  };
+  auto draw_chunk = [&] {
+    MemoChunk chunk = scenario.filters[draw(scenario.filters.size())];
+    chunk.payload = draw(scenario.payloads.size());
+    chunk.in_size = scenario.in_sizes[draw(scenario.in_sizes.size())];
+    return chunk;
+  };
+  for (int step = 0; step < scenario.steps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const std::uint32_t kind = draw(10);
+    if (kind < 2) {
+      const MemoChunk ca = draw_chunk();
+      const MemoChunk cb = draw_chunk();
+      run_together(exact, ca, cb);
+      run_together(fast, ca, cb);
+    } else {
+      MemoChunk chunk = draw_chunk();
+      if (kind == 2) chunk.in_size = 0;
+      run_alone(exact, chunk);
+      run_alone(fast, chunk);
+    }
+    expect_rigs_agree(exact, fast);
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_EQ(exact.a->replay_memo().size(), 0u);  // Exact mode never memoises.
+  return fast.a->replay_memo().hits();
+}
+
+std::vector<MemoChunk> point_filters() {
+  return {{0, 0, "ge", 20}, {0, 1, "lt", 130}, {0, 0, "nop", 0},
+          {0, 2, "eq", 1005}};
+}
+
+TEST(FastForward, MemoHitMatchesExactTicking) {
+  const auto design = design_for(kPointSpec, "P");
+  const auto points = make_points(64);
+  const MemoChunk chunk{0, 0, "ge", 8, static_cast<std::uint32_t>(
+                                           points.size())};
+  MemoRig exact(design, SimMode::kExact, {}, 0);
+  MemoRig fast(design, SimMode::kFast, {}, 0);
+  exact.memory.write_bytes(0, points);
+  fast.memory.write_bytes(0, points);
+  // The first run starts from the interconnect's initial round-robin
+  // cursor and the second from the one the first left behind, so both
+  // replay and store an outcome; the third run's input equals the
+  // second's, and it hits.
+  const std::size_t sizes[3] = {1, 2, 2};
+  const std::uint64_t hits[3] = {0, 0, 1};
+  for (int run = 0; run < 3; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    run_alone(exact, chunk);
+    run_alone(fast, chunk);
+    expect_rigs_agree(exact, fast);
+    EXPECT_EQ(fast.a->replay_memo().size(), sizes[run]);
+    EXPECT_EQ(fast.a->replay_memo().hits(), hits[run]);
+  }
+  EXPECT_EQ(fast.a->last_stats().tuples_out, 56u);
+}
+
+TEST(FastForward, MemoSeededSequenceMatchesExact) {
+  // One beat per cycle makes the read and write ports contend, and
+  // IN_SIZE values 12k and 12k + 4 give the same tuples (and so the same
+  // pass patterns) in a different number of words.
+  const auto design = design_for(kPointSpec, "P");
+  MemoScenario scenario;
+  scenario.payloads = {make_points(300), random_payload(12 * 300, 7),
+                       random_payload(12 * 300, 8)};
+  scenario.filters = point_filters();
+  scenario.in_sizes = {12 * 40, 12 * 40 + 4, 12 * 300, 12 * 299 + 8, 12};
+  scenario.axi.beats_per_cycle = 1;
+  EXPECT_GT(run_memo_sequence(design, scenario, 42), 50u);
+}
+
+TEST(FastForward, MemoWithArmedWatchdogMatchesExact) {
+  const auto design = design_for(kMixedSpec, "M");
+  MemoScenario scenario;
+  scenario.payloads = {random_payload(20 * 200, 1),
+                       random_payload(20 * 200, 2)};
+  scenario.filters = {{0, 0, "lt", 128}, {0, 4, "ge", 1u << 31},
+                      {0, 0, "nop", 0}};
+  scenario.in_sizes = {20 * 200, 20 * 150 + 4, 20 * 3};
+  scenario.watchdog = 64;  // Armed, but longer than any stall here.
+  EXPECT_GT(run_memo_sequence(design, scenario, 7), 50u);
+}
+
+TEST(FastForward, MemoAggregateMatchesExact) {
+  // The same pass patterns with and without a folding aggregate op: the
+  // op decides whether survivors reach the transform at all.
+  const std::string spec =
+      "typedef struct { uint64_t id; int32_t temp; float reading; } Sensor;"
+      "/* @autogen define parser S with input = Sensor, output = Sensor */";
+  const auto design =
+      design_for(spec, "S", hw::DesignFlavor::kGenerated, true);
+  MemoScenario scenario;
+  scenario.payloads = {random_payload(16 * 200, 3),
+                       random_payload(16 * 200, 4)};
+  for (const hw::AggOp agg :
+       {hw::AggOp::kNone, hw::AggOp::kSum, hw::AggOp::kMax}) {
+    scenario.filters.push_back({0, 1, "lt", 0, 0, agg});
+    scenario.filters.push_back({0, 0, "nop", 0, 0, agg});
+  }
+  scenario.in_sizes = {16 * 200, 16 * 120, 16 * 120 + 8};
+  EXPECT_GT(run_memo_sequence(design, scenario, 11), 50u);
+}
+
+TEST(FastForward, MemoStaticBaselineMatchesExact) {
+  // No IN_SIZE register: every chunk reads its fixed payload and pads
+  // the output to the full 32 KB block.
+  auto design = design_for(kPointSpec, "P",
+                           hw::DesignFlavor::kHandcraftedBaseline);
+  design.static_payload_bytes = 12 * 50;
+  MemoScenario scenario;
+  scenario.payloads = {make_points(50), random_payload(12 * 50, 5)};
+  scenario.filters = point_filters();
+  scenario.in_sizes = {0};
+  scenario.steps = 60;
+  EXPECT_GT(run_memo_sequence(design, scenario, 3), 10u);
+}
+
+TEST(FastForward, MemoStaysUnderItsByteCap) {
+  // Distinct pass patterns on every chunk: the memo fills, passes its
+  // cap, clears and refills, and never holds more than the cap.
+  const auto design = design_for(kPointSpec, "P");
+  PETestBench bench(design, bench_config(SimMode::kFast));
+  bench.set_filter(0, 0, design.operators.find("lt")->encoding, 1u << 31);
+  const std::uint32_t bytes = 12 * 2600;
+  std::size_t peak_entries = 0;
+  bool cleared = false;
+  for (std::uint64_t c = 0; c < 400; ++c) {
+    bench.memory().write_bytes(0, random_payload(bytes, 100 + c));
+    bench.start_chunk(0, kOutAddr, bytes);
+    ASSERT_TRUE(FastChunkEngine::run(bench.kernel(), bench.pe(), 1'000'000));
+    const ReplayMemo& memo = bench.pe().replay_memo();
+    EXPECT_LE(memo.bytes(), ReplayMemo::kByteCap);
+    if (memo.size() < peak_entries) cleared = true;
+    peak_entries = std::max(peak_entries, memo.size());
+  }
+  EXPECT_TRUE(cleared);
+  EXPECT_GT(peak_entries, 100u);
+  EXPECT_EQ(bench.pe().replay_memo().hits(), 0u);
 }
 
 }  // namespace
